@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench bench-json bench-diff bench-multicore check lint smuvet smuvet-determinism fmt-check bench-smoke fuzz-smoke chaos crash tier-soak soak-1m external-smoke report experiments experiments-full ingest-smoke ingest-json clean
+.PHONY: all build vet test test-short bench bench-json bench-diff bench-multicore perfbench-selftest check lint smuvet smuvet-determinism fmt-check bench-smoke fuzz-smoke chaos crash tier-soak soak-1m external-smoke report experiments experiments-full ingest-smoke ingest-json clean
 
 all: build vet test
 
@@ -48,6 +48,12 @@ BENCH_DIFF_OUT ?= bench-current.json
 bench-diff:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -o $(BENCH_DIFF_OUT) -diff $(BENCH_JSON)
+
+# The benchmark module (perfbench/, its own go.mod) is invisible to the root
+# build and tests, yet calls core's analysis API: vet it and run its own
+# tests so an API change cannot break the benchmark unnoticed.
+perfbench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Multi-core scaling gate: times the sharded analysis path against the
 # sequential one and (on >= 4 cores) asserts a >= 2x speedup. On smaller
@@ -143,11 +149,12 @@ external-smoke:
 	./scripts/external-smoke.sh
 
 # The full CI gate: lint (formatting, vet, smuvet), race-enabled tests,
-# benchmark smoke, fuzz smoke, chaos + kill-restart + tier-failover soaks,
+# benchmark smoke, the benchmark module's self-test, fuzz smoke, chaos + kill-restart + tier-failover soaks,
 # and the in-process + external ingest smokes.
 check: lint
 	$(GO) test -race ./...
 	$(MAKE) bench-smoke
+	$(MAKE) perfbench-selftest
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos
 	$(MAKE) crash

@@ -298,16 +298,28 @@ func main() {
 		var cfg config.Campaign
 		cfg, err = config.ForYear(*year, *scale, *seed)
 		if err == nil {
-			src := analysis.FileSource(*tracePath)
-			if *anaWorkers != 0 {
-				run, err = core.AnalyzeCampaignParallel(cfg, nil, src, core.Options{AnalysisWorkers: *anaWorkers, SketchMode: *sketchMode})
-			} else {
-				run, err = core.AnalyzeCampaign(cfg, nil, src, core.Options{SketchMode: *sketchMode})
-			}
+			run, err = analyzeTrace(*tracePath, cfg, *anaWorkers, *sketchMode)
 		}
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	fn(run)
+}
+
+// analyzeTrace analyzes a binary trace file over workers analysis workers (0
+// = sequential, negative = all cores). Exact mode decodes the trace once into
+// in-memory partitions; sketch mode keeps its memory bound by streaming both
+// passes from the file, fanned out over the workers.
+func analyzeTrace(path string, cfg config.Campaign, workers int, sketch bool) (*core.CampaignRun, error) {
+	src := analysis.FileSource(path)
+	opts := core.Options{AnalysisWorkers: workers, SketchMode: sketch}
+	if !sketch {
+		return core.AnalyzeCampaignParallel(cfg, nil, src, opts)
+	}
+	in := analysis.Input(src)
+	if workers != 0 {
+		in = analysis.Stream(src, workers)
+	}
+	return core.AnalyzeCampaign(cfg, nil, in, opts)
 }

@@ -63,8 +63,8 @@ func TestFanOutSteadyStateAllocs(t *testing.T) {
 	var seen atomic.Int64 // work runs on one goroutine per shard
 	cycle := func() {
 		seen.Store(0)
-		err = fanOut(src, 4, func(_ int, batch []trace.Sample) error {
-			seen.Add(int64(len(batch)))
+		err = fanOut(src, 4, func(int, *trace.Sample) error {
+			seen.Add(1)
 			return nil
 		})
 	}
@@ -179,7 +179,7 @@ func TestShardPoolConcurrentSoak(t *testing.T) {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				got, err := BuildPrepShards(meta, sh, release)
+				got, err := BuildPrep(meta, sh, release)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

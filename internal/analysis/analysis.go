@@ -12,10 +12,11 @@
 //     The Run helper applies the paper's cleaning rules (tethering removal
 //     and update-day excision, §2) before cleaned analyzers see a sample.
 //
-// Both passes exist in a sequential form (BuildPrep, Run) and a sharded
-// parallel form (BuildPrepShards/BuildPrepParallel, RunShards/RunParallel)
-// that partitions samples by device across workers and merges shard results
-// deterministically; see shard.go for the engine and the merge contract.
+// Both passes run over an Input: samples partitioned by device, one
+// accumulator per partition, merged in partition order. A Source is the
+// one-partition input; Stream fans a streaming decode out over workers, and
+// Shards holds a campaign decoded once into memory. Results are identical
+// for every input; see shard.go for the inputs and the merge contract.
 //
 // Analyzer results are plain data structs that renderers print and tests
 // assert against.
@@ -24,6 +25,7 @@ package analysis
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"smartusage/internal/config"
@@ -220,22 +222,39 @@ type Analyzer interface {
 	Add(s *trace.Sample)
 }
 
-// Run performs the second pass: raw analyzers see every sample; cleaned
-// analyzers see samples that survive the paper's cleaning rules, evaluated
-// against prep (tethered intervals removed; for updated devices, the update
-// day and the following day removed, §2).
-func Run(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
-	sp := traceStart("analysis:run")
+// Run performs the second pass over in: raw analyzers see every sample;
+// cleaned analyzers see samples that survive the paper's cleaning rules,
+// evaluated against prep (tethered intervals removed; for updated devices,
+// the update day and the following day removed, §2). A one-partition input
+// feeds the analyzers directly. A wider one feeds NewShard clones, one set
+// per partition, merged back in partition order; if any analyzer is not a
+// ShardedAnalyzer, the pass runs over in's serial stream instead.
+func Run(in Input, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
+	n := in.width()
+	sp := traceStart("analysis:run").Arg("partitions", strconv.Itoa(n))
 	defer sp.End()
-	return src(func(s *trace.Sample) error {
-		dispatch(s, prep, cleaned, raw)
+	nc := len(cleaned)
+	all := append(cleaned[:nc:nc], raw...)
+	perPart, ok := shardAnalyzers(all, n)
+	if !ok {
+		return in.serial()(func(s *trace.Sample) error {
+			dispatch(s, prep, cleaned, raw)
+			return nil
+		})
+	}
+	err := in.each(func(w int, s *trace.Sample) error {
+		dispatch(s, prep, perPart[w][:nc], perPart[w][nc:])
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	mergeShards(all, perPart)
+	return nil
 }
 
 // dispatch applies the cleaning rules to one sample and feeds the
-// analyzers. It is the single definition of the second-pass semantics, shared
-// by the sequential Run and the sharded RunShards/RunParallel paths.
+// analyzers. It is the single definition of the second-pass semantics.
 func dispatch(s *trace.Sample, prep *Prep, cleaned []Analyzer, raw []Analyzer) {
 	for _, a := range raw {
 		a.Add(s)

@@ -2,11 +2,11 @@ package analysis
 
 // Stage tracing hooks. The tracer is injected through a package-global
 // rather than threaded through every exported signature: the pipeline entry
-// points (Run, RunShards, BuildPrep, ...) are called from many layers and
-// benchmarks, and tracing is a cross-cutting, optional concern. The pointer
-// is atomic so a tracer can be installed while analyses run elsewhere, and
-// every hook is nil-safe (a nil tracer starts nil spans, which no-op), so
-// the instrumented paths cost one atomic load when tracing is off.
+// points (BuildPrep, Run) are called from many layers and benchmarks, and
+// tracing is a cross-cutting, optional concern. The pointer is atomic so a
+// tracer can be installed while analyses run elsewhere, and every hook is
+// nil-safe (a nil tracer starts nil spans, which no-op), so the instrumented
+// paths cost one atomic load when tracing is off.
 
 import (
 	"sync/atomic"
@@ -17,9 +17,9 @@ import (
 var tracer atomic.Pointer[obs.Tracer]
 
 // SetTracer installs the stage tracer for the analysis engine; nil removes
-// it. Spans cover each pipeline stage: prepass and analysis shards (one
-// trace track per shard), merges (one span per analyzer), and the
-// sequential fallbacks.
+// it. Spans cover each pipeline stage: the prepass (analysis:prep), the
+// analyzer pass (analysis:run), and within it the merges (analysis:merge,
+// one span per analyzer).
 func SetTracer(t *obs.Tracer) { tracer.Store(t) }
 
 // traceStart begins a span on the installed tracer (nil and inert when no

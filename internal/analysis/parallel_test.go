@@ -192,23 +192,23 @@ func TestBuildPrepParallelEquivalence(t *testing.T) {
 			len(want.Devices), len(want.APs), len(want.UpdateDay))
 	}
 	for _, workers := range workerCounts() {
-		got, err := BuildPrepParallel(meta, src, release, workers)
+		got, err := BuildPrep(meta, Stream(src, workers), release)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("BuildPrepParallel(workers=%d) differs from sequential", workers)
+			t.Errorf("BuildPrep(Stream(src, %d)) differs from sequential", workers)
 		}
 		sh, err := ShardSamples(src, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = BuildPrepShards(meta, sh, release)
+		got, err = BuildPrep(meta, sh, release)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("BuildPrepShards(n=%d) differs from sequential", workers)
+			t.Errorf("BuildPrep(Shards n=%d) differs from sequential", workers)
 		}
 	}
 }
@@ -260,11 +260,11 @@ func TestRunParallelEquivalence(t *testing.T) {
 	})
 	for _, workers := range workerCounts() {
 		got := batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
-			return RunParallel(src, prep, cleaned, raw, workers)
+			return Run(Stream(src, workers), prep, cleaned, raw)
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunParallel(workers=%d): %s differs from sequential", workers, name)
+				t.Errorf("Run(Stream(src, %d)): %s differs from sequential", workers, name)
 			}
 		}
 		sh, err := ShardSamples(src, workers)
@@ -272,11 +272,11 @@ func TestRunParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = batteryResults(t, meta, prep, release, func(cleaned, raw []Analyzer) error {
-			return RunShards(sh, prep, cleaned, raw)
+			return Run(sh, prep, cleaned, raw)
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunShards(n=%d): %s differs from sequential", workers, name)
+				t.Errorf("Run(Shards n=%d): %s differs from sequential", workers, name)
 			}
 		}
 	}
@@ -306,7 +306,7 @@ func TestShardCountSweep(t *testing.T) {
 			t.Fatalf("n=%d: %d of %d samples routed", n, sh.Len(), len(samples))
 		}
 		agg := NewAggregate(meta)
-		if err := RunShards(sh, prep, []Analyzer{agg}, nil); err != nil {
+		if err := Run(sh, prep, []Analyzer{agg}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := agg.Result(); !reflect.DeepEqual(want, got) {
@@ -326,7 +326,7 @@ func TestShardsPartitioning(t *testing.T) {
 	}
 	devShard := make(map[trace.DeviceID]int)
 	lastTime := make(map[trace.DeviceID]int64)
-	for w := 0; w < sh.NumShards(); w++ {
+	for w := 0; w < sh.width(); w++ {
 		for i := range sh.parts[w].samples {
 			s := &sh.parts[w].samples[i]
 			if prev, ok := devShard[s.Device]; ok && prev != w {
@@ -360,12 +360,12 @@ func TestFanOutPropagatesSourceError(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := BuildPrepParallel(meta, src, release, 4); err == nil {
+	if _, err := BuildPrep(meta, Stream(src, 4), release); err == nil {
 		t.Fatal("source error swallowed")
 	}
 	agg := NewAggregate(meta)
-	if err := RunParallel(src, nil, []Analyzer{agg}, nil, 4); err == nil {
-		t.Fatal("source error swallowed by RunParallel")
+	if err := Run(Stream(src, 4), nil, []Analyzer{agg}, nil); err == nil {
+		t.Fatal("source error swallowed by Run over Stream")
 	}
 }
 
@@ -379,7 +379,7 @@ func TestRunParallelFallsBackOnUnshardable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c counter
-	if err := RunParallel(src, prep, []Analyzer{&c}, nil, 4); err != nil {
+	if err := Run(Stream(src, 4), prep, []Analyzer{&c}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.n == 0 {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"smartusage/internal/geo"
@@ -154,10 +155,10 @@ const (
 // (the daily *median* is 50.7 MB, §3.7).
 const updateDetectBytes = 400 << 20
 
-// prepShard accumulates one device-partition's share of the first pass. The
-// sequential BuildPrep is a single shard; the parallel builders run one per
-// worker and fold them with finishPrep. All of its state is keyed (directly
-// or through UserDayKey) by device except aps, which finishPrep merges.
+// prepShard accumulates one device-partition's share of the first pass;
+// BuildPrep runs one per input partition and folds them with finishPrep.
+// All of its state is keyed (directly or through UserDayKey) by device
+// except aps, which finishPrep merges.
 type prepShard struct {
 	meta        Meta
 	releaseUnix int64
@@ -356,17 +357,21 @@ func finishPrep(meta Meta, updateRelease *time.Time, shards []*prepShard) *Prep 
 	return p
 }
 
-// BuildPrep runs the first pass over src and derives all shared context.
+// BuildPrep runs the first pass over in and derives all shared context:
+// one prepShard accumulates each partition, and finishPrep folds them.
 // updateRelease, when non-nil, enables iOS-update detection from that
 // instant (2015 campaign).
-func BuildPrep(meta Meta, src Source, updateRelease *time.Time) (*Prep, error) {
-	sp := traceStart("analysis:prep")
+func BuildPrep(meta Meta, in Input, updateRelease *time.Time) (*Prep, error) {
+	shards := make([]*prepShard, in.width())
+	sp := traceStart("analysis:prep").Arg("partitions", strconv.Itoa(len(shards)))
 	defer sp.End()
-	ps := newPrepShard(meta, updateRelease)
-	if err := src(ps.add); err != nil {
+	for w := range shards {
+		shards[w] = newPrepShard(meta, updateRelease)
+	}
+	if err := in.each(func(w int, s *trace.Sample) error { return shards[w].add(s) }); err != nil {
 		return nil, err
 	}
-	return finishPrep(meta, updateRelease, []*prepShard{ps}), nil
+	return finishPrep(meta, updateRelease, shards), nil
 }
 
 // inferHomes applies the night-time rule per device-day and picks each

@@ -4,28 +4,26 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"smartusage/internal/mempool"
 	"smartusage/internal/trace"
 )
 
-// This file implements the sharded parallel analysis engine. Both pipeline
-// passes admit a map-reduce shape: samples are partitioned by device (so all
-// state keyed per device stays shard-local), each shard accumulates
-// independently, and shard results are merged in fixed shard order.
+// This file implements the analysis engine's inputs. Both pipeline passes
+// admit a map-reduce shape: samples are partitioned by device (so all state
+// keyed per device stays partition-local), each partition accumulates
+// independently, and partition results are merged in fixed partition order.
 //
-// Determinism contract: given the same samples, the sharded pipeline
-// produces results identical to the sequential one, for any worker count.
-// This holds because (a) analyzer accumulations sum integer-valued floats
-// (byte counts, interval counts, battery levels), which float64 adds exactly
-// in any order; (b) merges always run in shard-index order on one goroutine;
-// (c) the few stream-order-dependent reductions (AP first-observation
-// snapshots, raw duration slices) use explicit deterministic rules instead
-// of arrival order.
+// Determinism contract: given the same samples, every Input produces
+// identical results, for any partition count. This holds because (a)
+// analyzer accumulations sum integer-valued floats (byte counts, interval
+// counts, battery levels), which float64 adds exactly in any order; (b)
+// merges always run in partition-index order on one goroutine; (c) the few
+// stream-order-dependent reductions (AP first-observation snapshots, raw
+// duration slices) use explicit deterministic rules instead of arrival
+// order.
 
 // ShardedAnalyzer is an Analyzer that can fan out over device-partitioned
 // shards and fold the shards back together.
@@ -40,6 +38,32 @@ type ShardedAnalyzer interface {
 	Merge(shard Analyzer)
 }
 
+// Input is a campaign's samples partitioned by device: every sample of a
+// device falls in one partition, in stream order. BuildPrep and Run take
+// any Input; whether the samples are held in memory or decoded per pass is
+// a property of the input, not of the engine. The implementations are a
+// Source (one partition), Stream (a streaming decode fanned out to worker
+// goroutines) and *Shards (in-memory partitions).
+type Input interface {
+	// width returns the number of partitions.
+	width() int
+	// each runs one pass, calling work for every sample with the index of
+	// its partition. Calls for one partition run on one goroutine in
+	// stream order; different partitions may run concurrently. The sample
+	// is valid only during the call. The first error stops the pass.
+	each(work func(part int, s *trace.Sample) error) error
+	// serial returns the same samples as one sequential stream.
+	serial() Source
+}
+
+func (src Source) width() int { return 1 }
+
+func (src Source) each(work func(int, *trace.Sample) error) error {
+	return src(func(s *trace.Sample) error { return work(0, s) })
+}
+
+func (src Source) serial() Source { return src }
+
 // shardOf maps a device to one of n shards. The device bits go through a
 // splitmix64-style finalizer first so that sequentially assigned IDs spread
 // evenly for every shard count.
@@ -53,11 +77,12 @@ func shardOf(dev trace.DeviceID, n int) int {
 	return int(x % uint64(n))
 }
 
-// Pools shared by every campaign analysis in the process. The shard engine
-// copies the whole campaign into memory (sample slabs plus arena chunks for
-// the per-sample Apps/APs slices); recycling those buffers across campaign
-// years and repeated runs is what keeps the parallel path's steady-state
-// allocation near the sequential path's, instead of 11x over it.
+// Pools shared by every campaign analysis in the process. Shards copies the
+// whole campaign into memory and Stream copies it batch by batch (sample
+// slabs plus arena chunks for the per-sample Apps/APs slices); recycling
+// those buffers across campaign years and repeated runs is what keeps the
+// partitioned inputs' steady-state allocation near a plain Source's,
+// instead of 11x over it.
 var (
 	samplePool = mempool.NewSlicePool[trace.Sample](64)
 	apObsPool  = mempool.NewSlicePool[trace.APObs](256)
@@ -65,43 +90,50 @@ var (
 	floatPool  = mempool.NewSlicePool[float64](64)
 )
 
-// shardPart is one device-partition of a campaign held in pooled memory:
-// the sample slab plus the arenas backing every sample's Apps/APs slices.
-type shardPart struct {
+// slab is a run of deep-copied samples in pooled memory: the sample slice
+// plus the arenas backing every sample's Apps/APs slices. Shards keeps one
+// per partition; Stream cycles fixed-size ones from decoder to worker.
+type slab struct {
 	samples []trace.Sample
 	aps     mempool.Arena[trace.APObs]
 	apps    mempool.Arena[trace.AppTraffic]
 }
 
-// add deep-copies s into the part, growing the slab through the pool.
-func (p *shardPart) add(s *trace.Sample) {
-	if len(p.samples) == cap(p.samples) {
-		n := 2 * cap(p.samples)
+func newSlab(samples []trace.Sample) slab {
+	return slab{samples: samples, aps: mempool.NewArena(apObsPool), apps: mempool.NewArena(appPool)}
+}
+
+// add deep-copies s into the slab, growing the sample slice through the
+// pool when it is full.
+func (b *slab) add(s *trace.Sample) {
+	if len(b.samples) == cap(b.samples) {
+		n := 2 * cap(b.samples)
 		if n < 1024 {
 			n = 1024
 		}
-		p.samples = samplePool.Grow(p.samples, n)
+		b.samples = samplePool.Grow(b.samples, n)
 	}
-	p.samples = append(p.samples, *s)
-	ns := &p.samples[len(p.samples)-1]
-	ns.Apps = p.apps.Append(s.Apps)
-	ns.APs = p.aps.Append(s.APs)
+	b.samples = append(b.samples, *s)
+	ns := &b.samples[len(b.samples)-1]
+	ns.Apps = b.apps.Append(s.Apps)
+	ns.APs = b.aps.Append(s.APs)
 }
 
-// release returns every buffer to the pools; the part is empty afterwards.
-func (p *shardPart) release() {
-	samplePool.Put(p.samples)
-	p.samples = nil
-	p.aps.Release()
-	p.apps.Release()
+// reset empties the slab, returning its arena chunks to the pools; the
+// sample slice keeps its capacity.
+func (b *slab) reset() {
+	b.samples = b.samples[:0]
+	b.aps.Release()
+	b.apps.Release()
 }
 
 // Shards holds a campaign's samples decoded once and partitioned by device,
 // so both pipeline passes can stream from memory without touching the codec
-// again. Its memory comes from process-wide pools: call Release when the
-// analyses are done so the next campaign reuses the slabs.
+// again. It is an Input whose each runs one goroutine per partition. Its
+// memory comes from process-wide pools: call Release when the analyses are
+// done so the next campaign reuses the slabs.
 type Shards struct {
-	parts []shardPart
+	parts []slab
 }
 
 // NewShards returns an empty n-way partition (n < 1 is treated as 1).
@@ -109,10 +141,9 @@ func NewShards(n int) *Shards {
 	if n < 1 {
 		n = 1
 	}
-	sh := &Shards{parts: make([]shardPart, n)}
+	sh := &Shards{parts: make([]slab, n)}
 	for w := range sh.parts {
-		sh.parts[w].aps = mempool.NewArena(apObsPool)
-		sh.parts[w].apps = mempool.NewArena(appPool)
+		sh.parts[w] = newSlab(nil)
 	}
 	return sh
 }
@@ -124,9 +155,6 @@ func (sh *Shards) Add(s *trace.Sample) error {
 	sh.parts[shardOf(s.Device, len(sh.parts))].add(s)
 	return nil
 }
-
-// NumShards returns the partition width.
-func (sh *Shards) NumShards() int { return len(sh.parts) }
 
 // Len returns the total number of samples held.
 func (sh *Shards) Len() int {
@@ -144,14 +172,41 @@ func (sh *Shards) Len() int {
 // retention rule (see DESIGN.md "Memory & pooling").
 func (sh *Shards) Release() {
 	for w := range sh.parts {
-		sh.parts[w].release()
+		p := &sh.parts[w]
+		p.reset()
+		samplePool.Put(p.samples)
+		p.samples = nil
 	}
 }
 
-// Source returns a restartable sequential stream replaying every shard in
-// shard order. Per-device sample order is preserved (each device lives in
-// exactly one shard, and shards keep arrival order).
-func (sh *Shards) Source() Source {
+func (sh *Shards) width() int { return len(sh.parts) }
+
+// each runs one goroutine per partition. The lowest-index partition error is
+// returned.
+func (sh *Shards) each(work func(int, *trace.Sample) error) error {
+	errs := make([]error, len(sh.parts))
+	var wg sync.WaitGroup
+	for w := range sh.parts {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			part := sh.parts[w].samples
+			for i := range part {
+				if err := work(w, &part[i]); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return firstError(errs)
+}
+
+// serial replays every partition in partition order. Per-device sample order
+// is preserved (each device lives in exactly one partition, and partitions
+// keep arrival order).
+func (sh *Shards) serial() Source {
 	return func(fn func(*trace.Sample) error) error {
 		for w := range sh.parts {
 			part := sh.parts[w].samples
@@ -168,11 +223,41 @@ func (sh *Shards) Source() Source {
 // ShardSamples decodes src exactly once into an n-way device partition.
 func ShardSamples(src Source, n int) (*Shards, error) {
 	sh := NewShards(n)
-	if err := src(sh.Add); err != nil {
-		return nil, err
+	err := src(sh.Add)
+	if err == nil {
+		return sh, nil
 	}
-	return sh, nil
+	sh.Release()
+	return nil, err
 }
+
+// stream is the Input Stream returns.
+type stream struct {
+	src Source
+	n   int
+}
+
+// Stream partitions src by device over n worker goroutines without holding
+// the campaign in memory: each pass decodes src once on the calling
+// goroutine and hands pooled batches of copies to the workers (fanOut).
+// n <= 0 selects GOMAXPROCS; n == 1 returns src itself.
+func Stream(src Source, n int) Input {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	if n == 1 {
+		return src
+	}
+	return stream{src: src, n: n}
+}
+
+func (st stream) width() int { return st.n }
+
+func (st stream) each(work func(int, *trace.Sample) error) error {
+	return fanOut(st.src, st.n, work)
+}
+
+func (st stream) serial() Source { return st.src }
 
 // Fan-out tuning: workers receive samples in batches to amortize channel
 // operations; a small backlog per worker keeps the decoder ahead without
@@ -185,70 +270,51 @@ const (
 // errFanOutStopped aborts the source pass after a worker failure.
 var errFanOutStopped = errors.New("analysis: fan-out stopped")
 
-// sampleBatch is one pooled unit of fan-out transfer: a slab of deep-copied
-// samples whose Apps/APs live in the batch's own arenas. Batches cycle
-// producer → worker → pool; the worker recycles the batch after work
-// returns, which is why analyzers must not retain sample slices past Add.
-type sampleBatch struct {
-	samples []trace.Sample
-	aps     mempool.Arena[trace.APObs]
-	apps    mempool.Arena[trace.AppTraffic]
-}
-
-// batchPool recycles fan-out batches across shards, runs, and campaigns.
+// batchPool recycles fan-out batches across partitions, runs, and campaigns.
+// Batches cycle producer → worker → pool; the worker recycles the batch
+// once work has seen all of it, which is why analyzers must not retain
+// sample slices past Add.
 var batchPool = sync.Pool{New: func() any {
-	return &sampleBatch{
-		samples: samplePool.Get(fanOutBatch),
-		aps:     mempool.NewArena(apObsPool),
-		apps:    mempool.NewArena(appPool),
-	}
+	b := newSlab(samplePool.Get(fanOutBatch))
+	return &b
 }}
 
-// add deep-copies s into the batch.
-func (b *sampleBatch) add(s *trace.Sample) {
-	b.samples = append(b.samples, *s)
-	ns := &b.samples[len(b.samples)-1]
-	ns.Apps = b.apps.Append(s.Apps)
-	ns.APs = b.aps.Append(s.APs)
-}
-
-// recycle empties the batch and returns it to the pool.
-func (b *sampleBatch) recycle() {
-	b.samples = b.samples[:0]
-	b.aps.Release()
-	b.apps.Release()
+// recycle empties a fan-out batch and returns it to the pool.
+func recycle(b *slab) {
+	b.reset()
 	batchPool.Put(b)
 }
 
 // fanOut streams src once on the calling goroutine, deep-copying each sample
 // into pooled batches routed by device hash to one of n worker goroutines.
 // work runs on a dedicated goroutine per shard and sees that shard's samples
-// in stream order; the batch is recycled the moment work returns. The source
-// error takes precedence; otherwise the lowest-index worker error is
+// in stream order; a batch is recycled once work has seen all of it. The
+// source error takes precedence; otherwise the lowest-index worker error is
 // returned.
-func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error) error {
-	chans := make([]chan *sampleBatch, n)
+func fanOut(src Source, n int, work func(shard int, s *trace.Sample) error) error {
+	chans := make([]chan *slab, n)
 	errs := make([]error, n)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
-		chans[w] = make(chan *sampleBatch, fanOutBacklog)
+		chans[w] = make(chan *slab, fanOutBacklog)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var err error
 			for batch := range chans[w] {
-				if errs[w] == nil {
-					if err := work(w, batch.samples); err != nil {
-						errs[w] = err
+				for i := 0; i < len(batch.samples) && err == nil; i++ {
+					if err = work(w, &batch.samples[i]); err != nil {
 						stop.Store(true)
 					}
 				}
-				batch.recycle()
+				recycle(batch)
 			}
+			errs[w] = err
 		}(w)
 	}
 
-	batches := make([]*sampleBatch, n)
+	batches := make([]*slab, n)
 	srcErr := src(func(s *trace.Sample) error {
 		if stop.Load() {
 			return errFanOutStopped
@@ -256,7 +322,7 @@ func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error)
 		w := shardOf(s.Device, n)
 		b := batches[w]
 		if b == nil {
-			b = batchPool.Get().(*sampleBatch)
+			b = batchPool.Get().(*slab)
 			batches[w] = b
 		}
 		b.add(s)
@@ -271,7 +337,7 @@ func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error)
 			if srcErr == nil && len(b.samples) > 0 {
 				chans[w] <- b
 			} else {
-				b.recycle()
+				recycle(b)
 			}
 		}
 		close(chans[w])
@@ -281,6 +347,11 @@ func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error)
 	if srcErr != nil && !errors.Is(srcErr, errFanOutStopped) {
 		return srcErr
 	}
+	return firstError(errs)
+}
+
+// firstError returns the lowest-index non-nil error.
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -290,9 +361,12 @@ func fanOut(src Source, n int, work func(shard int, batch []trace.Sample) error)
 }
 
 // shardAnalyzers clones every base analyzer n times via NewShard. ok is
-// false when any analyzer does not implement ShardedAnalyzer, in which case
-// callers fall back to the sequential path.
+// false when n < 2 or any analyzer does not implement ShardedAnalyzer; Run
+// then feeds the base analyzers from the input's serial stream.
 func shardAnalyzers(base []Analyzer, n int) (perShard [][]Analyzer, ok bool) {
+	if n < 2 {
+		return nil, false
+	}
 	perShard = make([][]Analyzer, n)
 	for w := range perShard {
 		perShard[w] = make([]Analyzer, len(base))
@@ -320,143 +394,4 @@ func mergeShards(base []Analyzer, perShard [][]Analyzer) {
 		}
 		sp.End()
 	}
-}
-
-// RunParallel is Run distributed over workers goroutines: samples stream
-// from src once, fan out by device hash, and each worker applies the
-// cleaning rules and feeds its own analyzer shards, which are merged back
-// into cleaned and raw afterwards. workers <= 0 selects GOMAXPROCS. When
-// workers is 1 or any analyzer is not shardable, it degrades to the
-// sequential Run.
-func RunParallel(src Source, prep *Prep, cleaned []Analyzer, raw []Analyzer, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return Run(src, prep, cleaned, raw)
-	}
-	cleanedShards, okC := shardAnalyzers(cleaned, workers)
-	rawShards, okR := shardAnalyzers(raw, workers)
-	if !okC || !okR {
-		return Run(src, prep, cleaned, raw)
-	}
-	sp := traceStart("analysis:run-parallel").Arg("workers", strconv.Itoa(workers))
-	err := fanOut(src, workers, func(w int, batch []trace.Sample) error {
-		for i := range batch {
-			dispatch(&batch[i], prep, cleanedShards[w], rawShards[w])
-		}
-		return nil
-	})
-	if err != nil {
-		sp.End()
-		return err
-	}
-	mergeShards(cleaned, cleanedShards)
-	mergeShards(raw, rawShards)
-	sp.End()
-	return nil
-}
-
-// RunShards is the second pass over a pre-partitioned in-memory campaign:
-// one goroutine per shard, no decoding and no copying, merged in shard
-// order. It degrades to the sequential Run over sh.Source() when the
-// partition is single-shard or an analyzer is not shardable.
-func RunShards(sh *Shards, prep *Prep, cleaned []Analyzer, raw []Analyzer) error {
-	n := sh.NumShards()
-	if n == 1 {
-		return Run(sh.Source(), prep, cleaned, raw)
-	}
-	cleanedShards, okC := shardAnalyzers(cleaned, n)
-	rawShards, okR := shardAnalyzers(raw, n)
-	if !okC || !okR {
-		return Run(sh.Source(), prep, cleaned, raw)
-	}
-	sp := traceStart("analysis:run-shards").Arg("shards", strconv.Itoa(n))
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ssp := traceStart("analysis:shard").OnTID(w + 1)
-			part := sh.parts[w].samples
-			for i := range part {
-				dispatch(&part[i], prep, cleanedShards[w], rawShards[w])
-			}
-			ssp.End()
-		}(w)
-	}
-	wg.Wait()
-	mergeShards(cleaned, cleanedShards)
-	mergeShards(raw, rawShards)
-	sp.End()
-	return nil
-}
-
-// BuildPrepShards is the first pass over a pre-partitioned campaign: each
-// shard accumulates its own prepass state concurrently, then the shards are
-// folded and finalized exactly like the sequential BuildPrep.
-func BuildPrepShards(meta Meta, sh *Shards, updateRelease *time.Time) (*Prep, error) {
-	n := sh.NumShards()
-	sp := traceStart("analysis:prep-shards").Arg("shards", strconv.Itoa(n))
-	defer sp.End()
-	shards := make([]*prepShard, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			psp := traceStart("analysis:prep-shard").OnTID(w + 1)
-			ps := newPrepShard(meta, updateRelease)
-			part := sh.parts[w].samples
-			for i := range part {
-				if err := ps.add(&part[i]); err != nil {
-					errs[w] = err
-					psp.End()
-					return
-				}
-			}
-			shards[w] = ps
-			psp.End()
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	fsp := traceStart("analysis:prep-finish")
-	defer fsp.End()
-	return finishPrep(meta, updateRelease, shards), nil
-}
-
-// BuildPrepParallel is BuildPrep distributed over workers goroutines fed by
-// a single streaming decode of src. workers <= 0 selects GOMAXPROCS;
-// workers == 1 degrades to the sequential BuildPrep.
-func BuildPrepParallel(meta Meta, src Source, updateRelease *time.Time, workers int) (*Prep, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return BuildPrep(meta, src, updateRelease)
-	}
-	sp := traceStart("analysis:prep-parallel").Arg("workers", strconv.Itoa(workers))
-	defer sp.End()
-	shards := make([]*prepShard, workers)
-	for w := range shards {
-		shards[w] = newPrepShard(meta, updateRelease)
-	}
-	err := fanOut(src, workers, func(w int, batch []trace.Sample) error {
-		for i := range batch {
-			if err := shards[w].add(&batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return finishPrep(meta, updateRelease, shards), nil
 }

@@ -202,8 +202,8 @@ func TestSketchEquivalence(t *testing.T) {
 }
 
 // TestSketchShardEquivalence pins bit-identical determinism across the
-// production shard engine: for every worker count, RunShards over the sketch
-// battery must DeepEqual the sequential run — the same guarantee the exact
+// production engine: for every worker count, Run over Stream and over
+// Shards with the sketch battery must DeepEqual the sequential run — the same guarantee the exact
 // battery has, made possible by the sketches' integer-only merge state.
 func TestSketchShardEquivalence(t *testing.T) {
 	meta, samples, release := equivalenceFixture(t)
@@ -231,11 +231,11 @@ func TestSketchShardEquivalence(t *testing.T) {
 	})
 	for _, workers := range workerCounts() {
 		got := results(func(cleaned, raw []Analyzer) error {
-			return RunParallel(src, prep, cleaned, raw, workers)
+			return Run(Stream(src, workers), prep, cleaned, raw)
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunParallel(workers=%d): sketch %s differs from sequential", workers, name)
+				t.Errorf("Run(Stream(src, %d)): sketch %s differs from sequential", workers, name)
 			}
 		}
 		sh, err := ShardSamples(src, workers)
@@ -243,11 +243,11 @@ func TestSketchShardEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = results(func(cleaned, raw []Analyzer) error {
-			return RunShards(sh, prep, cleaned, raw)
+			return Run(sh, prep, cleaned, raw)
 		})
 		for name, w := range want {
 			if !reflect.DeepEqual(w, got[name]) {
-				t.Errorf("RunShards(n=%d): sketch %s differs from sequential", workers, name)
+				t.Errorf("Run(Shards n=%d): sketch %s differs from sequential", workers, name)
 			}
 		}
 	}

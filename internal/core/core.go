@@ -166,20 +166,17 @@ func RunWithConfig(cfg config.Campaign, opts Options) (*CampaignRun, error) {
 	workers := opts.analysisWorkers()
 	if opts.TraceDir == "" {
 		sh := analysis.NewShards(workers)
+		defer sh.Release()
 		if err := runSim(sh.Add); err != nil {
 			return nil, fmt.Errorf("core: simulate %d: %w", cfg.Year, err)
 		}
-		return AnalyzeCampaignShards(cfg, sm, sh, opts)
+		return AnalyzeCampaign(cfg, sm, sh, opts)
 	}
 	path, err := spoolTrace(sm, opts.TraceDir, runSim)
 	if err != nil {
 		return nil, err
 	}
-	src := analysis.FileSource(path)
-	if workers > 1 {
-		return analyzeCampaignStreaming(cfg, sm, src, opts, workers)
-	}
-	return AnalyzeCampaign(cfg, sm, src, opts)
+	return AnalyzeCampaign(cfg, sm, analysis.Stream(analysis.FileSource(path), workers), opts)
 }
 
 // spoolTrace executes the simulation once, writing the binary trace under
@@ -350,30 +347,31 @@ func updateRelease(cfg config.Campaign) *time.Time {
 	return nil
 }
 
-// AnalyzeCampaign runs the two-pass analysis pipeline sequentially over an
-// existing sample source. sm may be nil when analyzing a trace without its
-// world (the survey is skipped in that case). Of opts, only the analysis
-// options (SketchMode, Tracer) apply; parallelism is the caller's choice of
-// entry point.
-func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options) (*CampaignRun, error) {
+// AnalyzeCampaign runs the two-pass analysis pipeline over in: a Source
+// streams sequentially, analysis.Stream fans a streaming decode out over
+// workers, and *analysis.Shards runs in-memory partitions concurrently; the
+// results are identical for any of them. The caller keeps ownership of in
+// (release Shards after AnalyzeCampaign returns). sm may be nil when
+// analyzing a trace without its world (the survey is skipped in that case).
+// Of opts, only the analysis options (SketchMode, Tracer) apply; the input
+// carries the parallelism.
+func AnalyzeCampaign(cfg config.Campaign, sm *sim.Simulator, in analysis.Input, opts Options) (*CampaignRun, error) {
 	meta := analysis.MetaFor(cfg)
 	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrep(meta, src, release)
+	prep, err := analysis.BuildPrep(meta, in, release)
 	if err != nil {
 		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
 	}
 	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.Run(src, prep, set.cleaned, set.raw); err != nil {
+	if err := analysis.Run(in, prep, set.cleaned, set.raw); err != nil {
 		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
 	}
 	return assembleRun(cfg, sm, prep, set)
 }
 
-// AnalyzeCampaignParallel is AnalyzeCampaign with both passes sharded over
-// opts.AnalysisWorkers goroutines (negative selects GOMAXPROCS). The source
-// is decoded exactly once — into device-partitioned in-memory shards that
-// both passes then stream from. Results are identical to the sequential
-// path.
+// AnalyzeCampaignParallel decodes src once into opts.AnalysisWorkers
+// in-memory device partitions (negative selects GOMAXPROCS) and analyzes
+// them with AnalyzeCampaign. One worker analyzes src as it streams.
 func AnalyzeCampaignParallel(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options) (*CampaignRun, error) {
 	workers := opts.analysisWorkers()
 	if workers == 1 {
@@ -383,44 +381,8 @@ func AnalyzeCampaignParallel(cfg config.Campaign, sm *sim.Simulator, src analysi
 	if err != nil {
 		return nil, fmt.Errorf("core: shard %d: %w", cfg.Year, err)
 	}
-	return AnalyzeCampaignShards(cfg, sm, sh, opts)
-}
-
-// AnalyzeCampaignShards runs the two-pass pipeline over pre-partitioned
-// in-memory shards, one goroutine per shard. The shards are consumed: their
-// pooled storage is recycled before returning (successfully or not), so the
-// caller must not touch sh afterwards.
-func AnalyzeCampaignShards(cfg config.Campaign, sm *sim.Simulator, sh *analysis.Shards, opts Options) (*CampaignRun, error) {
 	defer sh.Release()
-	meta := analysis.MetaFor(cfg)
-	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrepShards(meta, sh, release)
-	if err != nil {
-		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
-	}
-	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.RunShards(sh, prep, set.cleaned, set.raw); err != nil {
-		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
-	}
-	return assembleRun(cfg, sm, prep, set)
-}
-
-// analyzeCampaignStreaming runs both passes with the streaming fan-out: the
-// source is decoded once per pass on one goroutine while workers accumulate
-// shard-locally. Unlike AnalyzeCampaignParallel it never holds the whole
-// campaign in memory, which is why the TraceDir path uses it.
-func analyzeCampaignStreaming(cfg config.Campaign, sm *sim.Simulator, src analysis.Source, opts Options, workers int) (*CampaignRun, error) {
-	meta := analysis.MetaFor(cfg)
-	release := updateRelease(cfg)
-	prep, err := analysis.BuildPrepParallel(meta, src, release, workers)
-	if err != nil {
-		return nil, fmt.Errorf("core: prepass %d: %w", cfg.Year, err)
-	}
-	set := newAnalyzerSet(meta, prep, release, opts.SketchMode)
-	if err := analysis.RunParallel(src, prep, set.cleaned, set.raw, workers); err != nil {
-		return nil, fmt.Errorf("core: analysis pass %d: %w", cfg.Year, err)
-	}
-	return assembleRun(cfg, sm, prep, set)
+	return AnalyzeCampaign(cfg, sm, sh, opts)
 }
 
 // Study holds every campaign's results.

@@ -1,7 +1,7 @@
 package core_test
 
 import (
-	"math"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -349,17 +349,7 @@ func TestTraceDirRoundTrip(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "campaign-2013.trace")); err != nil {
 		t.Fatal(err)
 	}
-	// Map iteration order perturbs float accumulation at the ulp level, so
-	// compare with a tolerance.
-	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(math.Abs(a)+1) }
-	if !close(mem.VolumeStats.MedianAll, disk.VolumeStats.MedianAll) ||
-		!close(mem.VolumeStats.MeanAll, disk.VolumeStats.MeanAll) ||
-		!close(mem.VolumeStats.MeanWiFi, disk.VolumeStats.MeanWiFi) {
-		t.Fatalf("disk analysis diverged: %+v vs %+v", mem.VolumeStats, disk.VolumeStats)
-	}
-	if mem.Census != disk.Census {
-		t.Fatalf("census diverged: %+v vs %+v", mem.Census, disk.Census)
-	}
+	compareRuns(t, "trace dir", mem, disk)
 }
 
 func TestRunCampaignErrors(t *testing.T) {
@@ -490,28 +480,31 @@ func compareRuns(t *testing.T, label string, want, got *core.CampaignRun) {
 // TestAnalysisWorkersEquivalence checks the tentpole determinism guarantee
 // end to end: a campaign analyzed with sharded workers — both the in-memory
 // shard path and the streaming trace-file path — produces a CampaignRun
-// identical to the sequential analysis, experiment by experiment. 2015 is
-// used so the update-timing (raw) analyzer runs too.
+// identical to the sequential analysis, experiment by experiment, with the
+// exact analyzers and with the sketch battery. 2015 is used so the
+// update-timing (raw) analyzer runs too.
 func TestAnalysisWorkersEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence campaigns skipped in -short mode")
 	}
-	opts := core.Options{Scale: 0.05, Seed: 9}
-	seq, err := core.RunCampaign(2015, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.AnalysisWorkers = 4
-	par, err := core.RunCampaign(2015, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRuns(t, "in-memory shards", seq, par)
+	for _, sketch := range []bool{false, true} {
+		opts := core.Options{Scale: 0.05, Seed: 9, SketchMode: sketch}
+		seq, err := core.RunCampaign(2015, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.AnalysisWorkers = 4
+		par, err := core.RunCampaign(2015, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareRuns(t, fmt.Sprintf("in-memory shards (sketch=%v)", sketch), seq, par)
 
-	opts.TraceDir = t.TempDir()
-	stream, err := core.RunCampaign(2015, opts)
-	if err != nil {
-		t.Fatal(err)
+		opts.TraceDir = t.TempDir()
+		stream, err := core.RunCampaign(2015, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareRuns(t, fmt.Sprintf("streaming fan-out (sketch=%v)", sketch), seq, stream)
 	}
-	compareRuns(t, "streaming fan-out", seq, stream)
 }
