@@ -35,7 +35,7 @@ bench-smoke:
 # away. One iteration is smoke-grade — it anchors allocation counts exactly
 # but ns/op only roughly; use `make bench` on a quiet machine for real
 # timings.
-BENCH_JSON ?= BENCH_8.json
+BENCH_JSON ?= BENCH_14.json
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
 

@@ -4,8 +4,8 @@
 //
 // The per-experiment benchmarks measure the cost of computing that
 // experiment's result from an already-simulated campaign: prepass-derived
-// experiments (Tables 1/3/4, Figs. 5/10/13-16/19...) re-run their
-// derivation; streaming experiments (Figs. 2/6-9/11/12/17, Tables 5-7)
+// experiments (Tables 1/4, Figs. 5/10/14-16/19...) re-run their
+// derivation; streaming experiments (Figs. 2-4/6-9/11-13/17, Tables 3/5-7)
 // re-run their analyzer over the in-memory sample stream.
 package smartusage_test
 
@@ -259,11 +259,20 @@ func BenchmarkFig2(b *testing.B) {
 	}
 }
 
+// runVolumes streams the fixture through the Figs. 3-4 / Table 3 volume
+// pass.
+func runVolumes(b *testing.B, f *fixture) (analysis.DailyVolumes, analysis.VolumeStats) {
+	b.Helper()
+	v := analysis.NewVolumes(f.meta, false)
+	runAnalyzer(b, f, v)
+	return v.Result()
+}
+
 func BenchmarkFig3(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.prep.DailyVolumes()
+		_, _ = runVolumes(b, f)
 	}
 }
 
@@ -281,7 +290,7 @@ func BenchmarkTable3(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := f.prep.VolumeStats()
+		_, v := runVolumes(b, f)
 		if _, err := analysis.Growth([]analysis.VolumeStats{v, v, v}); err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +362,7 @@ func BenchmarkFig13(b *testing.B) {
 	f := getFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ad := analysis.NewAssocDuration(f.meta, f.prep)
+		ad := analysis.NewAssocDuration(f.meta, f.prep, false)
 		runAnalyzer(b, f, ad)
 		_ = ad.Result()
 	}
@@ -440,7 +449,7 @@ func BenchmarkTable9(b *testing.B) { BenchmarkTable2(b) }
 
 func BenchmarkImplications(b *testing.B) {
 	f := getFixture(b)
-	v := f.prep.VolumeStats()
+	_, v := runVolumes(b, f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := macro.ComputeImplications(2015, v.MedianCell, v.MedianWiFi, 0.95); err != nil {

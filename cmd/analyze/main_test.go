@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smartusage/internal/config"
@@ -15,7 +16,7 @@ import (
 // mode streams both passes from the file for every worker count, two decodes
 // per sample, so its memory stays bounded; exact mode with workers decodes
 // the trace once into memory. The sketch results must not depend on the
-// worker count.
+// worker count, and the quantile experiments must print them.
 func TestAnalyzeTraceDecodes(t *testing.T) {
 	cfg, err := config.ForYear(2015, 0.01, 3)
 	if err != nil {
@@ -67,6 +68,14 @@ func TestAnalyzeTraceDecodes(t *testing.T) {
 				tc.workers, tc.sketch, got, n, tc.decodes)
 		}
 		if tc.sketch {
+			for _, id := range []string{"fig3", "fig4", "fig13"} {
+				out := captureStdout(t, func() { experiments[id](run) })
+				for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+					if strings.HasSuffix(line, "(empty)") {
+						t.Errorf("workers=%d sketch -exp %s printed %q", tc.workers, id, line)
+					}
+				}
+			}
 			if sketchSeq == nil {
 				sketchSeq = run.Durations
 			} else if !reflect.DeepEqual(sketchSeq, run.Durations) {
@@ -74,4 +83,24 @@ func TestAnalyzeTraceDecodes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = stdout }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

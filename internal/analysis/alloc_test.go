@@ -87,17 +87,12 @@ func TestFanOutSteadyStateAllocs(t *testing.T) {
 // maps are deliberately excluded: they are O(devices) by design and the
 // soak test budgets them separately.
 func batteryFootprint(b sketchEquivalenceBattery) int {
-	n := 0
-	for _, q := range b.durations.durs {
-		n += q.Footprint()
+	n := b.card.devices.Footprint() + b.card.aps.Footprint()
+	for _, d := range b.durations.hours {
+		n += d.q.Footprint()
 	}
-	sk := b.volumes.sk
-	for _, q := range []interface{ Footprint() int }{
-		sk.AllRX, sk.AllTX, sk.CellRX, sk.CellTX, sk.WiFiRX, sk.WiFiTX,
-		b.volumes.statsCell, b.volumes.statsWiFi,
-		b.card.devices, b.card.aps,
-	} {
-		n += q.Footprint()
+	for _, d := range b.volumes.dists() {
+		n += d.q.Footprint()
 	}
 	return n
 }

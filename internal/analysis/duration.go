@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"smartusage/internal/stats"
 	"smartusage/internal/trace"
 )
@@ -12,11 +10,11 @@ import (
 // successive samples of a device report the same associated pair with no
 // gap larger than one missed interval.
 type AssocDuration struct {
-	meta Meta
-	prep *Prep
-	cur  map[trace.DeviceID]*assocRun
-	// durations in hours per class
-	durations [NumAPClasses][]float64
+	meta     Meta
+	prep     *Prep
+	sketched bool
+	cur      map[trace.DeviceID]*assocRun
+	hours    [NumAPClasses]*Dist
 }
 
 type assocRun struct {
@@ -28,9 +26,14 @@ type assocRun struct {
 // maxGapSeconds tolerates one missing report inside a run.
 const maxGapSeconds = 1300
 
-// NewAssocDuration returns an empty Fig. 13 accumulator.
-func NewAssocDuration(meta Meta, prep *Prep) *AssocDuration {
-	return &AssocDuration{meta: meta, prep: prep, cur: make(map[trace.DeviceID]*assocRun)}
+// NewAssocDuration returns an empty Fig. 13 accumulator; sketched selects
+// sketch-mode distributions (see Dist).
+func NewAssocDuration(meta Meta, prep *Prep, sketched bool) *AssocDuration {
+	a := &AssocDuration{meta: meta, prep: prep, sketched: sketched, cur: make(map[trace.DeviceID]*assocRun)}
+	for c := range a.hours {
+		a.hours[c] = newDist(sketched)
+	}
+	return a
 }
 
 // Add implements Analyzer. Samples of one device must arrive in time order
@@ -39,32 +42,40 @@ func (a *AssocDuration) Add(s *trace.Sample) {
 	run := a.cur[s.Device]
 	ap := s.AssociatedAP()
 	if ap == nil {
-		if run != nil {
+		if run != nil && run.start != 0 {
 			a.close(run)
-			delete(a.cur, s.Device)
+			// The closed run's struct stays in the map as a placeholder
+			// (start == 0; sample times are epoch seconds, never zero) so
+			// the device's next association reuses it: steady-state memory
+			// is one assocRun per device, ever.
+			*run = assocRun{}
 		}
 		return
 	}
 	key := APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}
-	if run != nil && run.key == key && s.Time-run.last <= maxGapSeconds {
+	open := run != nil && run.start != 0
+	if open && run.key == key && s.Time-run.last <= maxGapSeconds {
 		run.last = s.Time
 		return
 	}
-	if run != nil {
+	if run == nil {
+		a.cur[s.Device] = &assocRun{key: key, start: s.Time, last: s.Time}
+		return
+	}
+	if open {
 		a.close(run)
 	}
-	a.cur[s.Device] = &assocRun{key: key, start: s.Time, last: s.Time}
+	*run = assocRun{key: key, start: s.Time, last: s.Time}
 }
 
 func (a *AssocDuration) close(run *assocRun) {
 	// A run of one sample lasted one interval.
 	hours := float64(run.last-run.start+600) / 3600
-	class := a.prep.ClassOf(run.key)
-	a.durations[class] = append(a.durations[class], hours)
+	a.hours[a.prep.ClassOf(run.key)].Add(hours)
 }
 
 // NewShard implements ShardedAnalyzer.
-func (a *AssocDuration) NewShard() Analyzer { return NewAssocDuration(a.meta, a.prep) }
+func (a *AssocDuration) NewShard() Analyzer { return NewAssocDuration(a.meta, a.prep, a.sketched) }
 
 // Merge implements ShardedAnalyzer. Shards are device-disjoint, so open
 // runs transfer without clashing.
@@ -73,15 +84,15 @@ func (a *AssocDuration) Merge(shard Analyzer) {
 	for dev, run := range o.cur {
 		a.cur[dev] = run
 	}
-	for c := range o.durations {
-		a.durations[c] = append(a.durations[c], o.durations[c]...)
+	for c := range a.hours {
+		a.hours[c].merge(o.hours[c])
 	}
 }
 
-// AssocDurationResult holds the per-class duration samples and CCDFs.
+// AssocDurationResult holds the per-class duration distributions and CCDFs.
 type AssocDurationResult struct {
-	// Hours[class] are the raw run durations.
-	Hours [NumAPClasses][]float64
+	// Hours[class] are the run durations.
+	Hours [NumAPClasses]*Dist
 	// CCDF[class] is the complementary CDF of Hours[class].
 	CCDF [NumAPClasses]stats.Distribution
 	// P90Hours[class] is the 90th percentile (≈12 h home, 8 h office,
@@ -92,17 +103,18 @@ type AssocDurationResult struct {
 // Result flushes open runs and finalizes the distributions.
 func (a *AssocDuration) Result() AssocDurationResult {
 	for dev, run := range a.cur {
-		a.close(run)
+		if run.start != 0 {
+			a.close(run)
+		}
 		delete(a.cur, dev)
 	}
 	var r AssocDurationResult
 	for c := APClass(0); c < NumAPClasses; c++ {
-		// Runs close in map-iteration and shard order; sorting makes the
-		// raw slices independent of both.
-		sort.Float64s(a.durations[c])
-		r.Hours[c] = a.durations[c]
-		r.CCDF[c] = stats.CCDF(a.durations[c])
-		r.P90Hours[c] = stats.Quantile(a.durations[c], 0.90)
+		d := a.hours[c]
+		d.finish()
+		r.Hours[c] = d
+		r.CCDF[c] = d.CCDF()
+		r.P90Hours[c] = d.Quantile(0.90)
 	}
 	return r
 }

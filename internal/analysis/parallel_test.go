@@ -222,17 +222,19 @@ func batteryResults(t *testing.T, meta Meta, prep *Prep, release *time.Time, run
 	ifstate := NewInterfaceState(meta)
 	location := NewLocationTraffic(meta, prep)
 	apsPerDay := NewAPsPerDay(meta, prep)
-	durations := NewAssocDuration(meta, prep)
+	durations := NewAssocDuration(meta, prep, false)
+	volumes := NewVolumes(meta, false)
 	publicAvail := NewPublicAvailability(prep)
 	appBreak := NewAppBreakdown(meta, prep)
 	battery := NewBattery(meta)
 	carriers := NewCarrierRatios()
 	update := NewUpdateTiming(meta, prep, *release)
-	cleaned := []Analyzer{agg, ratios, ifstate, location, apsPerDay, durations, publicAvail, appBreak, battery, carriers}
+	cleaned := []Analyzer{agg, ratios, ifstate, location, apsPerDay, durations, volumes, publicAvail, appBreak, battery, carriers}
 	raw := []Analyzer{update}
 	if err := run(cleaned, raw); err != nil {
 		t.Fatal(err)
 	}
+	dv, vs := volumes.Result()
 	return map[string]any{
 		"aggregate":   agg.Result(),
 		"ratios":      ratios.Result(),
@@ -240,6 +242,8 @@ func batteryResults(t *testing.T, meta Meta, prep *Prep, release *time.Time, run
 		"location":    location.Result(),
 		"apsPerDay":   apsPerDay.Result(),
 		"durations":   durations.Result(),
+		"volumes":     dv,
+		"volumeStats": vs,
 		"publicAvail": publicAvail.Result(),
 		"appBreak":    appBreak.Result(),
 		"battery":     battery.Result(),

@@ -2,478 +2,8 @@ package analysis
 
 import (
 	"smartusage/internal/sketch"
-	"smartusage/internal/stats"
 	"smartusage/internal/trace"
 )
-
-// This file holds the sketch-mode analyzer battery (core.Options.SketchMode):
-// bounded-memory replacements for the slice-buffering figure accumulators,
-// built on internal/sketch's mergeable quantile and distinct-count sketches.
-//
-// Memory model: where the exact analyzers buffer O(user-days) raw samples
-// (duration slices, per-user-day sets, the prepass UserDays map consumed by
-// DailyVolumes), the sketch analyzers keep
-//
-//   - O(1) sketch state per figure (fixed-size log-binned histograms and HLL
-//     register files), plus
-//   - O(devices) transient per-device state: the current association run and
-//     the current day's partial aggregates, flushed into the sketches the
-//     moment a device's stream advances to the next day.
-//
-// The flush-on-day-advance pattern is sound because per-device streams are
-// time-ordered — trace files, the simulator, and Shards all guarantee it, and
-// AssocDuration's run tracking already relies on it.
-//
-// Determinism: sketch state is integer-only, so shard merges commute exactly
-// and every result below is bit-identical across worker counts and merge
-// orders (the same DeepEqual guarantee the exact battery enjoys). Accuracy
-// versus the exact battery is bounded per figure — quantile-derived numbers
-// carry the sketch's ~1% relative error, counts and ratios are exact; see
-// DESIGN.md "Sketch-based analysis" for the tolerance table.
-
-// figureSketch returns a quantile sketch with the repository-wide figure
-// config: all per-figure sketches share it so shard merges never mismatch.
-func figureSketch() *sketch.Quantile {
-	return sketch.NewQuantile(sketch.DefaultQuantileConfig())
-}
-
-// mustMergeQ folds same-config quantile sketches; a mismatch is programmer
-// error (every figure sketch shares DefaultQuantileConfig).
-func mustMergeQ(dst, src *sketch.Quantile) {
-	if err := dst.Merge(src); err != nil {
-		panic(err)
-	}
-}
-
-// sketchCDF materializes a quantile sketch as an empirical CDF Distribution
-// — one point per non-empty bin, the sketch analog of stats.CDF — so the
-// existing render/figure surface consumes sketch results unchanged.
-func sketchCDF(q *sketch.Quantile) stats.Distribution {
-	n := q.Count()
-	if n == 0 {
-		return stats.Distribution{}
-	}
-	pts := make([]stats.Point, 0, 64)
-	var cum uint64
-	q.Each(func(v float64, c uint64) {
-		cum += c
-		pts = append(pts, stats.Point{X: v, Y: float64(cum) / float64(n)})
-	})
-	return stats.Distribution{Points: pts}
-}
-
-// sketchCCDF is sketchCDF with complementary probabilities, the analog of
-// stats.CCDF.
-func sketchCCDF(q *sketch.Quantile) stats.Distribution {
-	d := sketchCDF(q)
-	for i := range d.Points {
-		d.Points[i].Y = 1 - d.Points[i].Y
-	}
-	return d
-}
-
-// SketchAssocDuration is the bounded-memory AssocDuration (Fig. 13): the
-// same run tracking, but each closed run feeds a per-class quantile sketch
-// instead of growing a raw duration slice.
-type SketchAssocDuration struct {
-	meta Meta
-	prep *Prep
-	cur  map[trace.DeviceID]*assocRun
-	durs [NumAPClasses]*sketch.Quantile
-}
-
-// NewSketchAssocDuration returns an empty sketch-mode Fig. 13 accumulator.
-func NewSketchAssocDuration(meta Meta, prep *Prep) *SketchAssocDuration {
-	a := &SketchAssocDuration{meta: meta, prep: prep, cur: make(map[trace.DeviceID]*assocRun)}
-	for c := range a.durs {
-		a.durs[c] = figureSketch()
-	}
-	return a
-}
-
-// Add implements Analyzer with AssocDuration's exact run semantics.
-func (a *SketchAssocDuration) Add(s *trace.Sample) {
-	run := a.cur[s.Device]
-	ap := s.AssociatedAP()
-	if ap == nil {
-		if run != nil && run.start != 0 {
-			a.close(run)
-			// Unlike the exact analyzer, the closed run's struct stays in
-			// the map as a placeholder (start == 0; sample times are epoch
-			// seconds, never zero) so the device's next association reuses
-			// it: steady-state memory is one assocRun per device, ever.
-			*run = assocRun{}
-		}
-		return
-	}
-	key := APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}
-	open := run != nil && run.start != 0
-	if open && run.key == key && s.Time-run.last <= maxGapSeconds {
-		run.last = s.Time
-		return
-	}
-	if run != nil {
-		if open {
-			a.close(run)
-		}
-		*run = assocRun{key: key, start: s.Time, last: s.Time}
-		return
-	}
-	a.cur[s.Device] = &assocRun{key: key, start: s.Time, last: s.Time}
-}
-
-func (a *SketchAssocDuration) close(run *assocRun) {
-	hours := float64(run.last-run.start+600) / 3600
-	a.durs[a.prep.ClassOf(run.key)].Add(hours)
-}
-
-// NewShard implements ShardedAnalyzer.
-func (a *SketchAssocDuration) NewShard() Analyzer { return NewSketchAssocDuration(a.meta, a.prep) }
-
-// Merge implements ShardedAnalyzer. Shards are device-disjoint, so open runs
-// transfer without clashing; sketch merges commute exactly.
-func (a *SketchAssocDuration) Merge(shard Analyzer) {
-	o := shard.(*SketchAssocDuration)
-	for dev, run := range o.cur {
-		a.cur[dev] = run
-	}
-	for c := range a.durs {
-		mustMergeQ(a.durs[c], o.durs[c])
-	}
-}
-
-// RunCount returns the total number of closed association runs, for memory
-// accounting (each would cost one float64 on the exact path).
-func (a *SketchAssocDuration) RunCount() uint64 {
-	var n uint64
-	for _, q := range a.durs {
-		n += q.Count()
-	}
-	return n
-}
-
-// Result flushes open runs and finalizes the distributions into the same
-// AssocDurationResult shape as the exact path, with Hours nil (the raw
-// samples are exactly what sketch mode does not keep).
-func (a *SketchAssocDuration) Result() AssocDurationResult {
-	for dev, run := range a.cur {
-		if run.start != 0 {
-			a.close(run)
-		}
-		delete(a.cur, dev)
-	}
-	var r AssocDurationResult
-	for c := APClass(0); c < NumAPClasses; c++ {
-		r.CCDF[c] = sketchCCDF(a.durs[c])
-		r.P90Hours[c] = a.durs[c].Quantile(0.90)
-	}
-	return r
-}
-
-// VolumeSketches holds the per-user-day volume distributions of Figs. 3-4 in
-// sketch form (MB). Conditions mirror DailyVolumes: All* gated on the 0.1 MB
-// download floor, interface sketches on the interface moving bytes that day.
-type VolumeSketches struct {
-	AllRX, AllTX   *sketch.Quantile
-	CellRX, CellTX *sketch.Quantile
-	WiFiRX, WiFiTX *sketch.Quantile
-}
-
-// volDayState is one device's current-day partial aggregate, flushed when
-// its stream advances to the next day.
-type volDayState struct {
-	day            int
-	cellRX, cellTX uint64
-	wifiRX, wifiTX uint64
-}
-
-// SketchVolumes is the bounded-memory source of Figs. 3-4 and the Table 3
-// per-year row: it replaces the prepass-map-derived DailyVolumes and
-// VolumeStats with streaming per-user-day aggregation. As a cleaned
-// analyzer it sees exactly the samples whose user-days survive cleaning
-// (tethered intervals and update-day excision), so its user-day population
-// matches Prep.DailyVolumes' non-Excluded one; the zero-interface fractions
-// and MaxRXMB are exact, quantile-derived statistics carry sketch error.
-type SketchVolumes struct {
-	meta Meta
-	cur  map[trace.DeviceID]*volDayState
-
-	sk                   VolumeSketches
-	statsCell, statsWiFi *sketch.Quantile // Table 3 interface columns: floor-gated, zero days included
-
-	total, zeroCell, zeroWiFi uint64
-	maxRXMB                   float64
-}
-
-// NewSketchVolumes returns an empty sketch-mode volume accumulator.
-func NewSketchVolumes(meta Meta) *SketchVolumes {
-	return &SketchVolumes{
-		meta: meta,
-		cur:  make(map[trace.DeviceID]*volDayState),
-		sk: VolumeSketches{
-			AllRX: figureSketch(), AllTX: figureSketch(),
-			CellRX: figureSketch(), CellTX: figureSketch(),
-			WiFiRX: figureSketch(), WiFiTX: figureSketch(),
-		},
-		statsCell: figureSketch(),
-		statsWiFi: figureSketch(),
-	}
-}
-
-// Add implements Analyzer.
-func (v *SketchVolumes) Add(s *trace.Sample) {
-	day := v.meta.Day(s.Time)
-	st := v.cur[s.Device]
-	if st == nil {
-		st = &volDayState{day: day}
-		v.cur[s.Device] = st
-	} else if st.day != day {
-		v.flush(st)
-		*st = volDayState{day: day}
-	}
-	st.cellRX += s.CellRX
-	st.cellTX += s.CellTX
-	st.wifiRX += s.WiFiRX
-	st.wifiTX += s.WiFiTX
-}
-
-// flush folds one completed user-day into the sketches, mirroring the
-// accumulation rules of Prep.DailyVolumes and Prep.VolumeStats.
-func (v *SketchVolumes) flush(st *volDayState) {
-	v.total++
-	if st.cellRX+st.cellTX == 0 {
-		v.zeroCell++
-	} else {
-		v.sk.CellRX.Add(MB(st.cellRX))
-		v.sk.CellTX.Add(MB(st.cellTX))
-	}
-	if st.wifiRX+st.wifiTX == 0 {
-		v.zeroWiFi++
-	} else {
-		v.sk.WiFiRX.Add(MB(st.wifiRX))
-		v.sk.WiFiTX.Add(MB(st.wifiTX))
-	}
-	rx := MB(st.cellRX + st.wifiRX)
-	if rx >= volumeFloor {
-		v.sk.AllRX.Add(rx)
-		v.sk.AllTX.Add(MB(st.cellTX + st.wifiTX))
-		v.statsCell.Add(MB(st.cellRX))
-		v.statsWiFi.Add(MB(st.wifiRX))
-	}
-	if rx > v.maxRXMB {
-		v.maxRXMB = rx
-	}
-}
-
-// NewShard implements ShardedAnalyzer.
-func (v *SketchVolumes) NewShard() Analyzer { return NewSketchVolumes(v.meta) }
-
-// Merge implements ShardedAnalyzer: device-disjoint transient state unions,
-// counters add, sketches merge, the maximum is order-insensitive.
-func (v *SketchVolumes) Merge(shard Analyzer) {
-	o := shard.(*SketchVolumes)
-	for dev, st := range o.cur {
-		v.cur[dev] = st
-	}
-	mustMergeQ(v.sk.AllRX, o.sk.AllRX)
-	mustMergeQ(v.sk.AllTX, o.sk.AllTX)
-	mustMergeQ(v.sk.CellRX, o.sk.CellRX)
-	mustMergeQ(v.sk.CellTX, o.sk.CellTX)
-	mustMergeQ(v.sk.WiFiRX, o.sk.WiFiRX)
-	mustMergeQ(v.sk.WiFiTX, o.sk.WiFiTX)
-	mustMergeQ(v.statsCell, o.statsCell)
-	mustMergeQ(v.statsWiFi, o.statsWiFi)
-	v.total += o.total
-	v.zeroCell += o.zeroCell
-	v.zeroWiFi += o.zeroWiFi
-	if o.maxRXMB > v.maxRXMB {
-		v.maxRXMB = o.maxRXMB
-	}
-}
-
-// UserDays returns the number of user-days flushed so far, for memory
-// accounting (each would cost one UserDay map entry on the exact path).
-func (v *SketchVolumes) UserDays() uint64 { return v.total }
-
-// Result flushes the in-flight user-days and finalizes both volume results.
-// DailyVolumes carries the distributions in Sketches (the raw slices stay
-// nil); VolumeStats derives Table 3's row from the sketches.
-func (v *SketchVolumes) Result() (DailyVolumes, VolumeStats) {
-	for dev, st := range v.cur {
-		v.flush(st)
-		delete(v.cur, dev)
-	}
-	dv := DailyVolumes{MaxRXMB: v.maxRXMB, Sketches: &v.sk}
-	if v.total > 0 {
-		dv.ZeroCellFrac = float64(v.zeroCell) / float64(v.total)
-		dv.ZeroWiFiFrac = float64(v.zeroWiFi) / float64(v.total)
-	}
-	vs := VolumeStats{
-		Year:       v.meta.Year,
-		MedianAll:  v.sk.AllRX.Quantile(0.5),
-		MedianCell: v.statsCell.Quantile(0.5),
-		MedianWiFi: v.statsWiFi.Quantile(0.5),
-		MeanAll:    v.sk.AllRX.Mean(),
-		MeanCell:   v.statsCell.Mean(),
-		MeanWiFi:   v.statsWiFi.Mean(),
-	}
-	return dv, vs
-}
-
-// apDayState is one device's current-day distinct association set; per-day
-// network counts are tiny (the paper's maximum is 8), so a linear-scanned
-// slice beats a map.
-type apDayState struct {
-	day   int
-	pairs []APKey
-}
-
-// SketchAPsPerDay is the bounded-memory APsPerDay (Fig. 12 / Table 5). The
-// per-day composition statistics are integer counts, so — unlike the
-// quantile figures — its result is bit-identical to the exact analyzer's,
-// asserted by DeepEqual in the equivalence suite.
-type SketchAPsPerDay struct {
-	meta Meta
-	prep *Prep
-	cur  map[trace.DeviceID]*apDayState
-
-	counts      [3][5]uint64
-	totals      [3]uint64
-	multi       uint64
-	breakdown   map[HPO]uint64
-	maxNetworks int
-	flushed     uint64
-}
-
-// NewSketchAPsPerDay returns an empty sketch-mode Fig. 12 accumulator.
-func NewSketchAPsPerDay(meta Meta, prep *Prep) *SketchAPsPerDay {
-	return &SketchAPsPerDay{
-		meta: meta, prep: prep,
-		cur:       make(map[trace.DeviceID]*apDayState),
-		breakdown: make(map[HPO]uint64),
-	}
-}
-
-// Add implements Analyzer.
-func (a *SketchAPsPerDay) Add(s *trace.Sample) {
-	ap := s.AssociatedAP()
-	if ap == nil {
-		return
-	}
-	day := a.meta.Day(s.Time)
-	st := a.cur[s.Device]
-	if st == nil {
-		st = &apDayState{day: day}
-		a.cur[s.Device] = st
-	} else if st.day != day {
-		a.flush(s.Device, st)
-		st.day = day
-		st.pairs = st.pairs[:0]
-	}
-	key := APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}
-	for _, p := range st.pairs {
-		if p == key {
-			return
-		}
-	}
-	st.pairs = append(st.pairs, key)
-}
-
-// flush folds one completed user-day set into the composition counters,
-// mirroring the per-set arithmetic of APsPerDay.Result.
-func (a *SketchAPsPerDay) flush(dev trace.DeviceID, st *apDayState) {
-	n := len(st.pairs)
-	if n == 0 {
-		return
-	}
-	a.flushed++
-	if n > a.maxNetworks {
-		a.maxNetworks = n
-	}
-	var hpo HPO
-	for _, pair := range st.pairs {
-		switch a.prep.ClassOf(pair) {
-		case APHome:
-			hpo.H++
-		case APPublic:
-			hpo.P++
-		default:
-			hpo.O++
-		}
-	}
-	a.breakdown[hpo]++
-	slot := n
-	if slot > 4 {
-		slot = 4
-	}
-	a.counts[0][slot]++
-	a.totals[0]++
-	switch a.prep.RankOf(dev, st.day) {
-	case RankHeavy:
-		a.counts[1][slot]++
-		a.totals[1]++
-	case RankLight:
-		a.counts[2][slot]++
-		a.totals[2]++
-	}
-	if n >= 2 {
-		a.multi++
-	}
-}
-
-// NewShard implements ShardedAnalyzer.
-func (a *SketchAPsPerDay) NewShard() Analyzer { return NewSketchAPsPerDay(a.meta, a.prep) }
-
-// Merge implements ShardedAnalyzer.
-func (a *SketchAPsPerDay) Merge(shard Analyzer) {
-	o := shard.(*SketchAPsPerDay)
-	for dev, st := range o.cur {
-		a.cur[dev] = st
-	}
-	for b := range a.counts {
-		for k := range a.counts[b] {
-			a.counts[b][k] += o.counts[b][k]
-		}
-		a.totals[b] += o.totals[b]
-	}
-	a.multi += o.multi
-	for k, n := range o.breakdown {
-		a.breakdown[k] += n
-	}
-	if o.maxNetworks > a.maxNetworks {
-		a.maxNetworks = o.maxNetworks
-	}
-	a.flushed += o.flushed
-}
-
-// WiFiDays returns the number of WiFi-using user-days flushed so far, for
-// memory accounting (each would cost one set map entry on the exact path).
-func (a *SketchAPsPerDay) WiFiDays() uint64 { return a.flushed }
-
-// Result flushes the in-flight days and finalizes the shares with the same
-// arithmetic as the exact analyzer, so the result DeepEquals it.
-func (a *SketchAPsPerDay) Result() APsPerDayResult {
-	for dev, st := range a.cur {
-		a.flush(dev, st)
-		delete(a.cur, dev)
-	}
-	r := APsPerDayResult{Breakdown: make(map[HPO]float64), MaxNetworks: a.maxNetworks}
-	for b := range r.CountShares {
-		if a.totals[b] == 0 {
-			continue
-		}
-		for k := range r.CountShares[b] {
-			r.CountShares[b][k] = float64(a.counts[b][k]) / float64(a.totals[b])
-		}
-	}
-	if a.totals[0] > 0 {
-		r.MultiAPShare = float64(a.multi) / float64(a.totals[0])
-		for k, n := range a.breakdown {
-			r.Breakdown[k] = float64(n) / float64(a.totals[0])
-		}
-	}
-	return r
-}
 
 // SketchCardinality is the sketch-mode counterpart of the prepass
 // Cardinality: the exact stream counters plus HLL estimates of the two

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"smartusage/internal/stats"
@@ -35,27 +36,165 @@ func withinTol(got, want, rel, abs float64) bool {
 	return d <= abs || d <= rel*math.Abs(want)
 }
 
-// sketchEquivalenceBattery bundles one fresh instance of every sketch-backed
-// analyzer with the cleaned/raw split Run expects. Keeping construction in
-// one place lets the shardmerge lint verify each sketch analyzer is enrolled
-// in the equivalence suite.
+// sketchEquivalenceBattery bundles one fresh sketch-mode instance of every
+// sketch-backed analyzer with the cleaned/raw split Run expects. Keeping
+// construction in one place lets the shardmerge lint verify each sketch
+// analyzer is enrolled in the equivalence suite.
 type sketchEquivalenceBattery struct {
-	durations *SketchAssocDuration
-	volumes   *SketchVolumes
-	apsPerDay *SketchAPsPerDay
+	durations *AssocDuration
+	volumes   *Volumes
+	apsPerDay *APsPerDay
 	card      *SketchCardinality
 }
 
 func newSketchEquivalenceBattery(meta Meta, prep *Prep) (sketchEquivalenceBattery, []Analyzer, []Analyzer) {
 	b := sketchEquivalenceBattery{
-		durations: NewSketchAssocDuration(meta, prep),
-		volumes:   NewSketchVolumes(meta),
-		apsPerDay: NewSketchAPsPerDay(meta, prep),
+		durations: NewAssocDuration(meta, prep, true),
+		volumes:   NewVolumes(meta, true),
+		apsPerDay: NewAPsPerDay(meta, prep),
 		card:      NewSketchCardinality(),
 	}
 	cleaned := []Analyzer{b.durations, b.volumes, b.apsPerDay}
 	raw := []Analyzer{b.card}
 	return b, cleaned, raw
+}
+
+// setAPsPerDay is the reference Fig. 12 / Table 5 computation APsPerDay's
+// per-device day fold is held to: every user-day's distinct association set
+// kept in a map until the end, then composed with the same arithmetic.
+type setAPsPerDay struct {
+	meta Meta
+	prep *Prep
+	sets map[UserDayKey]map[APKey]bool
+}
+
+func (a *setAPsPerDay) Add(s *trace.Sample) {
+	ap := s.AssociatedAP()
+	if ap == nil {
+		return
+	}
+	key := UserDayKey{Device: s.Device, Day: a.meta.Day(s.Time)}
+	set := a.sets[key]
+	if set == nil {
+		set = make(map[APKey]bool, 2)
+		a.sets[key] = set
+	}
+	set[APKey{BSSID: ap.BSSID, ESSID: ap.ESSID}] = true
+}
+
+func (a *setAPsPerDay) result() APsPerDayResult {
+	r := APsPerDayResult{Breakdown: make(map[HPO]float64)}
+	var totals [3]int
+	var multi int
+	for key, set := range a.sets {
+		if ud := a.prep.UserDays[key]; ud != nil && ud.Excluded {
+			continue
+		}
+		n := len(set)
+		if n > r.MaxNetworks {
+			r.MaxNetworks = n
+		}
+		var hpo HPO
+		for pair := range set {
+			switch a.prep.ClassOf(pair) {
+			case APHome:
+				hpo.H++
+			case APPublic:
+				hpo.P++
+			default:
+				hpo.O++
+			}
+		}
+		r.Breakdown[hpo]++
+		slot := min(n, 4)
+		r.CountShares[0][slot]++
+		totals[0]++
+		switch a.prep.RankOf(key.Device, key.Day) {
+		case RankHeavy:
+			r.CountShares[1][slot]++
+			totals[1]++
+		case RankLight:
+			r.CountShares[2][slot]++
+			totals[2]++
+		}
+		if n >= 2 {
+			multi++
+		}
+	}
+	for b := range r.CountShares {
+		if totals[b] == 0 {
+			continue
+		}
+		for k := range r.CountShares[b] {
+			r.CountShares[b][k] /= float64(totals[b])
+		}
+	}
+	if totals[0] > 0 {
+		r.MultiAPShare = float64(multi) / float64(totals[0])
+		for k := range r.Breakdown {
+			r.Breakdown[k] /= float64(totals[0])
+		}
+	}
+	return r
+}
+
+// userDayVolumes is the reference Figs. 3-4 / Table 3 computation Volumes'
+// streaming day fold is held to: the prepass's non-Excluded UserDays,
+// folded after the pass.
+func userDayVolumes(p *Prep) (DailyVolumes, VolumeStats) {
+	var all, allTX, cellRX, cellTX, wifiRX, wifiTX, statsCell, statsWiFi []float64
+	var v DailyVolumes
+	var total, zeroCell, zeroWiFi int
+	for _, ud := range p.UserDays {
+		if ud.Excluded {
+			continue
+		}
+		total++
+		if ud.CellRX+ud.CellTX == 0 {
+			zeroCell++
+		} else {
+			cellRX = append(cellRX, MB(ud.CellRX))
+			cellTX = append(cellTX, MB(ud.CellTX))
+		}
+		if ud.WiFiRX+ud.WiFiTX == 0 {
+			zeroWiFi++
+		} else {
+			wifiRX = append(wifiRX, MB(ud.WiFiRX))
+			wifiTX = append(wifiTX, MB(ud.WiFiTX))
+		}
+		rx := MB(ud.TotalRX())
+		if rx >= volumeFloor {
+			all = append(all, rx)
+			allTX = append(allTX, MB(ud.TotalTX()))
+			statsCell = append(statsCell, MB(ud.CellRX))
+			statsWiFi = append(statsWiFi, MB(ud.WiFiRX))
+		}
+		if rx > v.MaxRXMB {
+			v.MaxRXMB = rx
+		}
+	}
+	if total > 0 {
+		v.ZeroCellFrac = float64(zeroCell) / float64(total)
+		v.ZeroWiFiFrac = float64(zeroWiFi) / float64(total)
+	}
+	// Map iteration order is random; sorting fixes both the slices and the
+	// summation order of the means.
+	for _, xs := range [][]float64{all, allTX, cellRX, cellTX, wifiRX, wifiTX, statsCell, statsWiFi} {
+		sort.Float64s(xs)
+	}
+	v.AllRX, v.AllTX = &Dist{vals: all}, &Dist{vals: allTX}
+	v.CellRX, v.CellTX = &Dist{vals: cellRX}, &Dist{vals: cellTX}
+	v.WiFiRX, v.WiFiTX = &Dist{vals: wifiRX}, &Dist{vals: wifiTX}
+	vs := VolumeStats{
+		Year:       p.Meta.Year,
+		MedianAll:  stats.Median(all),
+		MedianCell: stats.Median(statsCell),
+		MedianWiFi: stats.Median(statsWiFi),
+		MeanAll:    stats.Mean(all),
+		MeanCell:   stats.Mean(statsCell),
+		MeanWiFi:   stats.Mean(statsWiFi),
+	}
+	return v, vs
 }
 
 func TestSketchEquivalence(t *testing.T) {
@@ -66,15 +205,16 @@ func TestSketchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	setAPD := &setAPsPerDay{meta: meta, prep: prep, sets: make(map[UserDayKey]map[APKey]bool)}
 	exactAPD := NewAPsPerDay(meta, prep)
-	exactDur := NewAssocDuration(meta, prep)
-	if err := Run(src, prep, []Analyzer{exactAPD, exactDur}, nil); err != nil {
+	exactDur := NewAssocDuration(meta, prep, false)
+	exactVol := NewVolumes(meta, false)
+	if err := Run(src, prep, []Analyzer{setAPD, exactAPD, exactDur, exactVol}, nil); err != nil {
 		t.Fatal(err)
 	}
-	wantAPD := exactAPD.Result()
+	wantAPD := setAPD.result()
 	wantDur := exactDur.Result()
-	wantDV := prep.DailyVolumes()
-	wantVS := prep.VolumeStats()
+	wantDV, wantVS := exactVol.Result()
 
 	b, cleaned, raw := newSketchEquivalenceBattery(meta, prep)
 	if err := Run(src, prep, cleaned, raw); err != nil {
@@ -83,28 +223,33 @@ func TestSketchEquivalence(t *testing.T) {
 
 	t.Run("apsPerDay", func(t *testing.T) {
 		// Per-day composition statistics are pure integer counting: the
-		// sketch analyzer must be bit-identical, not merely close.
+		// day fold must be bit-identical to the set oracle in both modes,
+		// not merely close.
+		if got := exactAPD.Result(); !reflect.DeepEqual(wantAPD, got) {
+			t.Errorf("exact APsPerDay differs from the set oracle:\n got %+v\nwant %+v", got, wantAPD)
+		}
 		if got := b.apsPerDay.Result(); !reflect.DeepEqual(wantAPD, got) {
-			t.Errorf("sketch APsPerDay differs from exact:\n got %+v\nwant %+v", got, wantAPD)
+			t.Errorf("sketch APsPerDay differs from the set oracle:\n got %+v\nwant %+v", got, wantAPD)
 		}
 	})
 
 	t.Run("durations", func(t *testing.T) {
 		got := b.durations.Result()
 		for c := APClass(0); c < NumAPClasses; c++ {
+			exact := wantDur.Hours[c].Values()
 			// Sketch mode never materializes the raw hours.
-			if got.Hours[c] != nil {
-				t.Errorf("%v: sketch result carries %d raw hours", c, len(got.Hours[c]))
+			if got.Hours[c].Values() != nil {
+				t.Errorf("%v: sketch result carries %d raw hours", c, len(got.Hours[c].Values()))
 			}
-			if n := b.durations.durs[c].Count(); n != uint64(len(wantDur.Hours[c])) {
-				t.Errorf("%v: sketch holds %d runs, exact %d", c, n, len(wantDur.Hours[c]))
+			if n := got.Hours[c].Count(); n != len(exact) {
+				t.Errorf("%v: sketch holds %d runs, exact %d", c, n, len(exact))
 			}
-			if len(wantDur.Hours[c]) == 0 {
+			if len(exact) == 0 {
 				continue
 			}
 			for _, p := range []float64{0.10, 0.50, 0.90, 0.99} {
-				want := stats.Quantile(wantDur.Hours[c], p)
-				if got := b.durations.durs[c].Quantile(p); !withinTol(got, want, durQuantileRel, durQuantileAbs) {
+				want := stats.Quantile(exact, p)
+				if got := got.Hours[c].Quantile(p); !withinTol(got, want, durQuantileRel, durQuantileAbs) {
 					t.Errorf("%v q%.2f: sketch %.4fh, exact %.4fh", c, p, got, want)
 				}
 			}
@@ -122,6 +267,16 @@ func TestSketchEquivalence(t *testing.T) {
 	})
 
 	t.Run("volumes", func(t *testing.T) {
+		// Exact mode folds the same user-days as the prepass: every sorted
+		// slice, fraction, maximum and Table 3 statistic is identical.
+		oracleDV, oracleVS := userDayVolumes(prep)
+		if !reflect.DeepEqual(oracleDV, wantDV) {
+			t.Errorf("exact Volumes differs from the UserDays fold:\n got %+v\nwant %+v", wantDV, oracleDV)
+		}
+		if oracleVS != wantVS {
+			t.Errorf("exact VolumeStats differs from the UserDays fold:\n got %+v\nwant %+v", wantVS, oracleVS)
+		}
+
 		gotDV, gotVS := b.volumes.Result()
 		// User-day population, silent-interface fractions, and the heaviest
 		// day aggregate the same integers the prepass does: exact equality.
@@ -132,25 +287,24 @@ func TestSketchEquivalence(t *testing.T) {
 		if gotDV.MaxRXMB != wantDV.MaxRXMB {
 			t.Errorf("MaxRXMB: sketch %g, exact %g", gotDV.MaxRXMB, wantDV.MaxRXMB)
 		}
-		if gotDV.Sketches == nil {
-			t.Fatal("sketch-mode DailyVolumes is missing its Sketches")
+		if gotDV.AllRX.q == nil {
+			t.Fatal("sketch-mode DailyVolumes is not sketched")
 		}
 		series := []struct {
 			name  string
 			exact []float64
-			q     interface{ Quantile(float64) float64 }
-			count uint64
+			got   *Dist
 		}{
-			{"AllRX", wantDV.AllRX, gotDV.Sketches.AllRX, gotDV.Sketches.AllRX.Count()},
-			{"AllTX", wantDV.AllTX, gotDV.Sketches.AllTX, gotDV.Sketches.AllTX.Count()},
-			{"CellRX", wantDV.CellRX, gotDV.Sketches.CellRX, gotDV.Sketches.CellRX.Count()},
-			{"CellTX", wantDV.CellTX, gotDV.Sketches.CellTX, gotDV.Sketches.CellTX.Count()},
-			{"WiFiRX", wantDV.WiFiRX, gotDV.Sketches.WiFiRX, gotDV.Sketches.WiFiRX.Count()},
-			{"WiFiTX", wantDV.WiFiTX, gotDV.Sketches.WiFiTX, gotDV.Sketches.WiFiTX.Count()},
+			{"AllRX", wantDV.AllRX.Values(), gotDV.AllRX},
+			{"AllTX", wantDV.AllTX.Values(), gotDV.AllTX},
+			{"CellRX", wantDV.CellRX.Values(), gotDV.CellRX},
+			{"CellTX", wantDV.CellTX.Values(), gotDV.CellTX},
+			{"WiFiRX", wantDV.WiFiRX.Values(), gotDV.WiFiRX},
+			{"WiFiTX", wantDV.WiFiTX.Values(), gotDV.WiFiTX},
 		}
 		for _, s := range series {
-			if s.count != uint64(len(s.exact)) {
-				t.Errorf("%s: sketch holds %d user-days, exact %d", s.name, s.count, len(s.exact))
+			if s.got.Count() != len(s.exact) {
+				t.Errorf("%s: sketch holds %d user-days, exact %d", s.name, s.got.Count(), len(s.exact))
 				continue
 			}
 			if len(s.exact) == 0 {
@@ -158,7 +312,7 @@ func TestSketchEquivalence(t *testing.T) {
 			}
 			for _, p := range []float64{0.10, 0.50, 0.90, 0.99} {
 				want := stats.Quantile(s.exact, p)
-				if got := s.q.Quantile(p); !withinTol(got, want, volQuantileRel, volQuantileAbs) {
+				if got := s.got.Quantile(p); !withinTol(got, want, volQuantileRel, volQuantileAbs) {
 					t.Errorf("%s q%.2f: sketch %.4f MB, exact %.4f MB", s.name, p, got, want)
 				}
 			}

@@ -39,12 +39,11 @@ func soakHeapCeiling(devices int) uint64 {
 	return 64<<20 + uint64(devices)*800
 }
 
-// Conservative per-record costs of the exact analyzers' accumulators; the
-// real maps/slices cost more (load factors, growth doubling, set headers).
+// Conservative per-record costs of the exact path's accumulators; the real
+// maps/slices cost more (load factors, growth doubling).
 const (
 	exactBytesPerUserDay = 128 // UserDay struct + pointer + map entry
 	exactBytesPerRun     = 8   // one float64 per closed association run
-	exactBytesPerWiFiDay = 160 // per-day APKey set: map header + entries
 )
 
 func soakDevices(t *testing.T) int {
@@ -115,8 +114,6 @@ func TestSketchSoak(t *testing.T) {
 	elapsed := time.Since(start)
 
 	// Finalize under the same budget: Result flushes the per-device state.
-	userDays := b.volumes.UserDays() // counted before Result's final flush
-	_ = userDays
 	dv, _ := b.volumes.Result()
 	durRes := b.durations.Result()
 	apdRes := b.apsPerDay.Result()
@@ -125,14 +122,17 @@ func TestSketchSoak(t *testing.T) {
 
 	ceiling := soakHeapCeiling(devices)
 	peakHeap := peak.Load()
-	exactLB := b.volumes.UserDays()*exactBytesPerUserDay +
-		b.durations.RunCount()*exactBytesPerRun +
-		b.apsPerDay.WiFiDays()*exactBytesPerWiFiDay
+	userDays := b.volumes.total
+	var runs uint64
+	for _, d := range durRes.Hours {
+		runs += uint64(d.Count())
+	}
+	exactLB := userDays*exactBytesPerUserDay + runs*exactBytesPerRun
 
 	t.Logf("devices=%d samples=%d elapsed=%s", devices, samples, elapsed.Round(time.Millisecond))
 	t.Logf("peak heap %.1f MiB, ceiling %.1f MiB", float64(peakHeap)/(1<<20), float64(ceiling)/(1<<20))
-	t.Logf("user-days=%d runs=%d wifi-days=%d -> exact-path lower bound %.1f MiB",
-		b.volumes.UserDays(), b.durations.RunCount(), b.apsPerDay.WiFiDays(), float64(exactLB)/(1<<20))
+	t.Logf("user-days=%d runs=%d -> exact-path lower bound %.1f MiB",
+		userDays, runs, float64(exactLB)/(1<<20))
 
 	if peakHeap > ceiling {
 		t.Errorf("peak heap %d exceeds ceiling %d (%.0f B/device over %d devices)",
@@ -148,7 +148,7 @@ func TestSketchSoak(t *testing.T) {
 		t.Errorf("cardinality saw %d samples, generator emitted %d", cardRes.Samples, samples)
 	}
 	wantDays := uint64(devices * meta.Days)
-	if got := b.volumes.UserDays(); got != wantDays {
+	if got := userDays; got != wantDays {
 		t.Errorf("flushed %d user-days, want %d", got, wantDays)
 	}
 	if !withinTol(float64(cardRes.Devices), float64(devices), hllRel, 2) {
@@ -170,9 +170,8 @@ func TestSketchSoak(t *testing.T) {
 			"peak_heap_bytes":    peakHeap,
 			"ceiling_bytes":      ceiling,
 			"exact_lower_bound":  exactLB,
-			"user_days":          b.volumes.UserDays(),
-			"assoc_runs":         b.durations.RunCount(),
-			"wifi_days":          b.apsPerDay.WiFiDays(),
+			"user_days":          userDays,
+			"assoc_runs":         runs,
 			"device_estimate":    cardRes.Devices,
 			"ap_estimate":        cardRes.APs,
 			"bytes_per_device":   float64(peakHeap) / float64(devices),

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
 	"smartusage/internal/stats"
 	"smartusage/internal/trace"
@@ -15,16 +14,16 @@ func MB(b uint64) float64 { return float64(b) / 1e6 }
 // ("we omitted users that downloaded less than 0.1MB", §3.2).
 const volumeFloor = 0.1 // MB
 
-// DailyVolumes holds per-user-day volume samples (MB), the raw material of
-// Figs. 3-4 and Table 3. Excluded (cleaned) days are omitted.
+// DailyVolumes holds the per-user-day volume distributions (MB), the raw
+// material of Figs. 3-4. Excluded (cleaned) days are omitted.
 type DailyVolumes struct {
 	// AllRX/AllTX include every user-day whose download total reaches the
 	// 0.1 MB floor.
-	AllRX, AllTX []float64
+	AllRX, AllTX *Dist
 	// Interface-specific volumes, conditioned on the interface moving any
 	// bytes that day.
-	CellRX, CellTX []float64
-	WiFiRX, WiFiTX []float64
+	CellRX, CellTX *Dist
+	WiFiRX, WiFiTX *Dist
 	// ZeroCellFrac/ZeroWiFiFrac are the fractions of user-days whose
 	// interface moved no bytes at all (§3.2: 8% cellular, 20% WiFi).
 	ZeroCellFrac float64
@@ -32,51 +31,6 @@ type DailyVolumes struct {
 	// MaxRXMB is the heaviest observed day (the paper's top heavy hitter
 	// downloaded 11 GB in one day).
 	MaxRXMB float64
-	// Sketches carries the same distributions in bounded-memory form when
-	// the run used sketch mode; the raw slices above are then nil.
-	Sketches *VolumeSketches
-}
-
-// DailyVolumes extracts the per-user-day volume samples from the prepass.
-func (p *Prep) DailyVolumes() DailyVolumes {
-	var v DailyVolumes
-	var total, zeroCell, zeroWiFi int
-	for _, ud := range p.UserDays {
-		if ud.Excluded {
-			continue
-		}
-		total++
-		if ud.CellRX+ud.CellTX == 0 {
-			zeroCell++
-		} else {
-			v.CellRX = append(v.CellRX, MB(ud.CellRX))
-			v.CellTX = append(v.CellTX, MB(ud.CellTX))
-		}
-		if ud.WiFiRX+ud.WiFiTX == 0 {
-			zeroWiFi++
-		} else {
-			v.WiFiRX = append(v.WiFiRX, MB(ud.WiFiRX))
-			v.WiFiTX = append(v.WiFiTX, MB(ud.WiFiTX))
-		}
-		rx := MB(ud.TotalRX())
-		if rx >= volumeFloor {
-			v.AllRX = append(v.AllRX, rx)
-			v.AllTX = append(v.AllTX, MB(ud.TotalTX()))
-		}
-		if rx > v.MaxRXMB {
-			v.MaxRXMB = rx
-		}
-	}
-	if total > 0 {
-		v.ZeroCellFrac = float64(zeroCell) / float64(total)
-		v.ZeroWiFiFrac = float64(zeroWiFi) / float64(total)
-	}
-	// The samples accumulate in map-iteration order; sorting makes the
-	// slices (only ever consumed as distributions) deterministic.
-	for _, xs := range [][]float64{v.AllRX, v.AllTX, v.CellRX, v.CellTX, v.WiFiRX, v.WiFiTX} {
-		sort.Float64s(xs)
-	}
-	return v
 }
 
 // VolumeStats is one year's row of Table 3: median and mean daily download
@@ -87,39 +41,150 @@ type VolumeStats struct {
 	MeanAll, MeanCell, MeanWiFi       float64
 }
 
-// VolumeStats summarizes the daily download volumes. Following Table 3's
-// framing, the per-interface statistics are computed over user-days that
-// pass the overall 0.1 MB floor, including interface-zero days (a WiFi
-// median below the cellular median in 2013 requires counting non-WiFi
-// days).
-func (p *Prep) VolumeStats() VolumeStats {
-	var all, cell, wifi []float64
-	for _, ud := range p.UserDays {
-		if ud.Excluded {
-			continue
-		}
-		rx := MB(ud.TotalRX())
-		if rx < volumeFloor {
-			continue
-		}
-		all = append(all, rx)
-		cell = append(cell, MB(ud.CellRX))
-		wifi = append(wifi, MB(ud.WiFiRX))
+// volDayState is one device's current-day partial aggregate, flushed when
+// its stream advances to the next day.
+type volDayState struct {
+	day            int
+	cellRX, cellTX uint64
+	wifiRX, wifiTX uint64
+}
+
+// Volumes is the source of Figs. 3-4 and the Table 3 per-year row: it folds
+// each device's time-ordered stream into per-user-day totals and flushes a
+// day into the distributions when the stream advances to the next one. As a
+// cleaned analyzer it sees exactly the samples whose user-days survive
+// cleaning (tethered intervals and update-day excision), so its user-days
+// are the prepass's non-Excluded UserDays.
+type Volumes struct {
+	meta     Meta
+	sketched bool
+	cur      map[trace.DeviceID]*volDayState
+
+	dv DailyVolumes
+	// statsCell and statsWiFi are Table 3's interface columns: gated on the
+	// overall 0.1 MB floor, interface-zero days included (a WiFi median
+	// below the cellular median in 2013 requires counting non-WiFi days).
+	statsCell, statsWiFi *Dist
+
+	total, zeroCell, zeroWiFi uint64
+}
+
+// NewVolumes returns an empty volume accumulator; sketched selects
+// sketch-mode distributions (see Dist).
+func NewVolumes(meta Meta, sketched bool) *Volumes {
+	return &Volumes{
+		meta:     meta,
+		sketched: sketched,
+		cur:      make(map[trace.DeviceID]*volDayState),
+		dv: DailyVolumes{
+			AllRX: newDist(sketched), AllTX: newDist(sketched),
+			CellRX: newDist(sketched), CellTX: newDist(sketched),
+			WiFiRX: newDist(sketched), WiFiTX: newDist(sketched),
+		},
+		statsCell: newDist(sketched),
+		statsWiFi: newDist(sketched),
 	}
-	// Fix the summation order of the means: map iteration would otherwise
-	// leave ULP-level noise between runs over identical prep content.
-	sort.Float64s(all)
-	sort.Float64s(cell)
-	sort.Float64s(wifi)
-	return VolumeStats{
-		Year:       p.Meta.Year,
-		MedianAll:  stats.Median(all),
-		MedianCell: stats.Median(cell),
-		MedianWiFi: stats.Median(wifi),
-		MeanAll:    stats.Mean(all),
-		MeanCell:   stats.Mean(cell),
-		MeanWiFi:   stats.Mean(wifi),
+}
+
+// Add implements Analyzer. Samples of one device must arrive in time order.
+func (v *Volumes) Add(s *trace.Sample) {
+	day := v.meta.Day(s.Time)
+	st := v.cur[s.Device]
+	if st == nil {
+		st = &volDayState{day: day}
+		v.cur[s.Device] = st
+	} else if st.day != day {
+		v.flush(st)
+		*st = volDayState{day: day}
 	}
+	st.cellRX += s.CellRX
+	st.cellTX += s.CellTX
+	st.wifiRX += s.WiFiRX
+	st.wifiTX += s.WiFiTX
+}
+
+// flush folds one completed user-day into the distributions.
+func (v *Volumes) flush(st *volDayState) {
+	v.total++
+	if st.cellRX+st.cellTX == 0 {
+		v.zeroCell++
+	} else {
+		v.dv.CellRX.Add(MB(st.cellRX))
+		v.dv.CellTX.Add(MB(st.cellTX))
+	}
+	if st.wifiRX+st.wifiTX == 0 {
+		v.zeroWiFi++
+	} else {
+		v.dv.WiFiRX.Add(MB(st.wifiRX))
+		v.dv.WiFiTX.Add(MB(st.wifiTX))
+	}
+	rx := MB(st.cellRX + st.wifiRX)
+	if rx >= volumeFloor {
+		v.dv.AllRX.Add(rx)
+		v.dv.AllTX.Add(MB(st.cellTX + st.wifiTX))
+		v.statsCell.Add(MB(st.cellRX))
+		v.statsWiFi.Add(MB(st.wifiRX))
+	}
+	if rx > v.dv.MaxRXMB {
+		v.dv.MaxRXMB = rx
+	}
+}
+
+// NewShard implements ShardedAnalyzer.
+func (v *Volumes) NewShard() Analyzer { return NewVolumes(v.meta, v.sketched) }
+
+// Merge implements ShardedAnalyzer: device-disjoint transient state unions,
+// counters add, distributions merge, the maximum is order-insensitive.
+func (v *Volumes) Merge(shard Analyzer) {
+	o := shard.(*Volumes)
+	for dev, st := range o.cur {
+		v.cur[dev] = st
+	}
+	od := o.dists()
+	for i, d := range v.dists() {
+		d.merge(od[i])
+	}
+	v.total += o.total
+	v.zeroCell += o.zeroCell
+	v.zeroWiFi += o.zeroWiFi
+	if o.dv.MaxRXMB > v.dv.MaxRXMB {
+		v.dv.MaxRXMB = o.dv.MaxRXMB
+	}
+}
+
+// dists lists every distribution the accumulator feeds.
+func (v *Volumes) dists() [8]*Dist {
+	return [8]*Dist{
+		v.dv.AllRX, v.dv.AllTX, v.dv.CellRX, v.dv.CellTX,
+		v.dv.WiFiRX, v.dv.WiFiTX, v.statsCell, v.statsWiFi,
+	}
+}
+
+// Result flushes the in-flight user-days and finalizes Figs. 3-4's
+// distributions and Table 3's row.
+func (v *Volumes) Result() (DailyVolumes, VolumeStats) {
+	for dev, st := range v.cur {
+		v.flush(st)
+		delete(v.cur, dev)
+	}
+	for _, d := range v.dists() {
+		d.finish()
+	}
+	dv := v.dv
+	if v.total > 0 {
+		dv.ZeroCellFrac = float64(v.zeroCell) / float64(v.total)
+		dv.ZeroWiFiFrac = float64(v.zeroWiFi) / float64(v.total)
+	}
+	vs := VolumeStats{
+		Year:       v.meta.Year,
+		MedianAll:  dv.AllRX.Quantile(0.5),
+		MedianCell: v.statsCell.Quantile(0.5),
+		MedianWiFi: v.statsWiFi.Quantile(0.5),
+		MeanAll:    dv.AllRX.Mean(),
+		MeanCell:   v.statsCell.Mean(),
+		MeanWiFi:   v.statsWiFi.Mean(),
+	}
+	return dv, vs
 }
 
 // GrowthTable is Table 3: per-year medians/means plus annual growth rates
@@ -296,12 +361,4 @@ func (p *Prep) Overview() Overview {
 		o.WiFiShare = float64(wifi) / float64(cell+wifi)
 	}
 	return o
-}
-
-// sortedCopy returns a sorted copy of xs; a convenience for CDF consumers.
-func sortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }

@@ -51,11 +51,13 @@ type Options struct {
 	// samples across goroutines by device (results are identical
 	// regardless); 0 keeps them sequential, negative uses GOMAXPROCS.
 	AnalysisWorkers int
-	// SketchMode swaps the slice-buffering figure analyzers for the
-	// bounded-memory sketch battery (internal/sketch): quantile-derived
-	// statistics then carry a documented ~1% relative error while analyzer
-	// memory stays O(devices) instead of O(user-days). See DESIGN.md
-	// "Sketch-based analysis" for the per-figure tolerance table.
+	// SketchMode makes the figure distributions (analysis.Dist) quantile
+	// sketches (internal/sketch) instead of raw value slices, and adds HLL
+	// cardinality estimates (CampaignRun.SketchCard). The analyzers are the
+	// same in both modes; quantile-derived statistics then carry a
+	// documented ~1% relative error while analyzer memory stays O(devices)
+	// instead of O(user-days). See DESIGN.md "Sketch-based analysis" for the
+	// per-figure tolerance table.
 	SketchMode bool
 	// Tracer, when non-nil, records stage spans (simulation, prepass,
 	// analysis shards, merges) in Chrome trace format; see obs.NewTracer.
@@ -205,36 +207,21 @@ func spoolTrace(sm *sim.Simulator, dir string, runSim func(sim.Sink) error) (str
 	return path, nil
 }
 
-// durationAnalyzer and apsPerDayAnalyzer abstract over the exact and sketch
-// implementations of the two figure analyzers that exist in both forms.
-type durationAnalyzer interface {
-	analysis.Analyzer
-	Result() analysis.AssocDurationResult
-}
-
-type apsPerDayAnalyzer interface {
-	analysis.Analyzer
-	Result() analysis.APsPerDayResult
-}
-
 // analyzerSet is the second-pass analyzer battery of one campaign.
 type analyzerSet struct {
 	agg          *analysis.Aggregate
 	ratios       *analysis.WiFiRatios
 	ifstate      *analysis.InterfaceState
 	location     *analysis.LocationTraffic
-	apsPerDay    apsPerDayAnalyzer
-	durations    durationAnalyzer
+	apsPerDay    *analysis.APsPerDay
+	durations    *analysis.AssocDuration
+	volumes      *analysis.Volumes
 	publicAvail  *analysis.PublicAvailability
 	appBreak     *analysis.AppBreakdown
 	battery      *analysis.Battery
 	carriers     *analysis.CarrierRatios
 	updateTiming *analysis.UpdateTiming
-
-	// volumes and sketchCard are non-nil only in sketch mode; assembleRun
-	// then derives DailyVolumes/VolumeStats from the streaming analyzer
-	// instead of the prepass UserDays map.
-	volumes    *analysis.SketchVolumes
+	// sketchCard is non-nil only in sketch mode.
 	sketchCard *analysis.SketchCardinality
 
 	cleaned []analysis.Analyzer
@@ -255,28 +242,20 @@ func newAnalyzerSet(meta analysis.Meta, prep *analysis.Prep, release *time.Time,
 		ratios:      analysis.NewWiFiRatios(meta, prep),
 		ifstate:     analysis.NewInterfaceState(meta),
 		location:    analysis.NewLocationTraffic(meta, prep),
+		apsPerDay:   analysis.NewAPsPerDay(meta, prep),
+		durations:   analysis.NewAssocDuration(meta, prep, sketch),
+		volumes:     analysis.NewVolumes(meta, sketch),
 		publicAvail: analysis.NewPublicAvailability(prep),
 		appBreak:    analysis.NewAppBreakdown(meta, prep),
 		battery:     analysis.NewBattery(meta),
 		carriers:    analysis.NewCarrierRatios(),
 	}
-	if sketch {
-		set.apsPerDay = analysis.NewSketchAPsPerDay(meta, prep)
-		set.durations = analysis.NewSketchAssocDuration(meta, prep)
-		set.volumes = analysis.NewSketchVolumes(meta)
-		set.sketchCard = analysis.NewSketchCardinality()
-	} else {
-		set.apsPerDay = analysis.NewAPsPerDay(meta, prep)
-		set.durations = analysis.NewAssocDuration(meta, prep)
-	}
 	set.cleaned = []analysis.Analyzer{
 		set.agg, set.ratios, set.ifstate, set.location, set.apsPerDay,
-		set.durations, set.publicAvail, set.appBreak, set.battery, set.carriers,
+		set.durations, set.volumes, set.publicAvail, set.appBreak, set.battery, set.carriers,
 	}
-	if set.volumes != nil {
-		set.cleaned = append(set.cleaned, set.volumes)
-	}
-	if set.sketchCard != nil {
+	if sketch {
+		set.sketchCard = analysis.NewSketchCardinality()
 		set.raw = append(set.raw, set.sketchCard)
 	}
 	if release != nil {
@@ -313,12 +292,7 @@ func assembleRun(cfg config.Campaign, sm *sim.Simulator, prep *analysis.Prep, se
 		Battery:     set.battery.Result(),
 		Carriers:    set.carriers.Result(),
 	}
-	if set.volumes != nil {
-		run.Volumes, run.VolumeStats = set.volumes.Result()
-	} else {
-		run.Volumes = prep.DailyVolumes()
-		run.VolumeStats = prep.VolumeStats()
-	}
+	run.Volumes, run.VolumeStats = set.volumes.Result()
 	if set.sketchCard != nil {
 		r := set.sketchCard.Result()
 		run.SketchCard = &r

@@ -445,11 +445,11 @@ func TestSeedStability(t *testing.T) {
 			t.Errorf("%s: KS distance %.3f between seeds exceeds %.2f", name, d, maxKS)
 		}
 	}
-	check("daily total RX", a.Volumes.AllRX, b.Volumes.AllRX, 0.08)
-	check("daily WiFi RX", a.Volumes.WiFiRX, b.Volumes.WiFiRX, 0.08)
-	check("daily cell RX", a.Volumes.CellRX, b.Volumes.CellRX, 0.08)
-	check("home assoc hours", a.Durations.Hours[analysis.APHome], b.Durations.Hours[analysis.APHome], 0.10)
-	check("public assoc hours", a.Durations.Hours[analysis.APPublic], b.Durations.Hours[analysis.APPublic], 0.10)
+	check("daily total RX", a.Volumes.AllRX.Values(), b.Volumes.AllRX.Values(), 0.08)
+	check("daily WiFi RX", a.Volumes.WiFiRX.Values(), b.Volumes.WiFiRX.Values(), 0.08)
+	check("daily cell RX", a.Volumes.CellRX.Values(), b.Volumes.CellRX.Values(), 0.08)
+	check("home assoc hours", a.Durations.Hours[analysis.APHome].Values(), b.Durations.Hours[analysis.APHome].Values(), 0.10)
+	check("public assoc hours", a.Durations.Hours[analysis.APPublic].Values(), b.Durations.Hours[analysis.APPublic].Values(), 0.10)
 
 	// Scalar metrics within a few points.
 	if d := a.Ratios.All.MeanTrafficRatio - b.Ratios.All.MeanTrafficRatio; d > 0.06 || d < -0.06 {

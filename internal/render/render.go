@@ -10,7 +10,6 @@ import (
 	"math"
 	"strings"
 
-	"smartusage/internal/sketch"
 	"smartusage/internal/stats"
 )
 
@@ -187,9 +186,17 @@ func CCDFLogLog(w io.Writer, label string, d stats.Distribution, xmin, xmax floa
 	return err
 }
 
-// Quantiles prints a labelled quantile summary of a distribution's sample.
-func Quantiles(w io.Writer, label string, xs []float64, unit string) error {
-	if len(xs) == 0 {
+// Dist is the value distribution Quantiles summarizes; analysis.Dist, exact
+// or sketched, implements it.
+type Dist interface {
+	Count() int
+	Quantile(q float64) float64
+}
+
+// Quantiles prints a labelled quantile summary of a distribution.
+func Quantiles(w io.Writer, label string, d Dist, unit string) error {
+	n := d.Count()
+	if n == 0 {
 		_, err := fmt.Fprintf(w, "%s: (empty)\n", label)
 		return err
 	}
@@ -200,32 +207,9 @@ func Quantiles(w io.Writer, label string, xs []float64, unit string) error {
 		if i > 0 {
 			b.WriteString("  ")
 		}
-		fmt.Fprintf(&b, "p%02.0f=%.3g", q*100, stats.Quantile(xs, q))
+		fmt.Fprintf(&b, "p%02.0f=%.3g", q*100, d.Quantile(q))
 	}
-	fmt.Fprintf(&b, " %s (n=%d)", unit, len(xs))
-	_, err := fmt.Fprintln(w, b.String())
-	return err
-}
-
-// SketchQuantiles writes the same quantile summary line as Quantiles but
-// reads a bounded-memory quantile sketch instead of a raw sample slice, so
-// sketch-mode reports keep the exact-mode format (values carry the sketch's
-// ~1% relative error).
-func SketchQuantiles(w io.Writer, label string, q *sketch.Quantile, unit string) error {
-	if q == nil || q.Count() == 0 {
-		_, err := fmt.Fprintf(w, "%s: (empty)\n", label)
-		return err
-	}
-	qs := []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.99}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: ", label)
-	for i, p := range qs {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "p%02.0f=%.3g", p*100, q.Quantile(p))
-	}
-	fmt.Fprintf(&b, " %s (n=%d)", unit, q.Count())
+	fmt.Fprintf(&b, " %s (n=%d)", unit, n)
 	_, err := fmt.Fprintln(w, b.String())
 	return err
 }

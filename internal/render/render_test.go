@@ -108,9 +108,15 @@ func TestHeatMap(t *testing.T) {
 	}
 }
 
+// sample is a raw-slice Dist.
+type sample []float64
+
+func (s sample) Count() int                 { return len(s) }
+func (s sample) Quantile(q float64) float64 { return stats.Quantile(s, q) }
+
 func TestQuantiles(t *testing.T) {
 	var b strings.Builder
-	if err := Quantiles(&b, "lbl", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "MB"); err != nil {
+	if err := Quantiles(&b, "lbl", sample{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, "MB"); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -118,7 +124,7 @@ func TestQuantiles(t *testing.T) {
 		t.Fatalf("quantiles %q", out)
 	}
 	b.Reset()
-	if err := Quantiles(&b, "empty", nil, "MB"); err != nil {
+	if err := Quantiles(&b, "empty", sample(nil), "MB"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "(empty)") {
